@@ -2,7 +2,8 @@
 
 Pipeline: sample random BFT trees to get per-edge contrast values, build a
 minimum spanning tree with respect to contrast, compute the conductance of
-all its fundamental cuts in linear time, turn those into an edge rating
+all its fundamental cuts in O(n + m log n) time (prefix sums over preorder
+labels, binary-lifting LCAs), turn those into an edge rating
 that guides matching-based coarsening, and finish with greedy maximum
 communication volume (MCV) postprocessing.
 """

@@ -5,8 +5,7 @@ edge's child endpoint and the rest. The conductance of that cut is the
 total weight of crossing edges divided by the smaller side's volume
 (volume = sum of weighted degrees).
 
-The fast path computes all n-1 values in a single postorder traversal that
-aggregates three per-vertex quantities:
+The fast path computes all n-1 values from three per-vertex quantities:
 
   subtree_vol[u]   volume of the subtree rooted at u
   intra_weight[u]  twice the weight of non-tree edges whose endpoints lie
@@ -15,8 +14,16 @@ aggregates three per-vertex quantities:
   inter_weight[u]  weight of non-tree edges leaving u's subtree
 
 so that the cut weight of u's parent edge is inter_weight[u] plus the
-parent edge's own weight. Every adjacency entry is inspected exactly once,
-giving O(|E|) work overall.
+parent edge's own weight. Preorder labels make every subtree the label
+interval label[u]..max_label[u], so a subtree sum is a difference of two
+prefix sums over the vertices in preorder. subtree_vol sums the weighted
+degrees. inter_weight sums a difference array: each non-tree edge {a, b}
+with lowest common ancestor l adds +w at a and at b and -2w at l, which
+cancels inside every subtree that holds both endpoints. intra_weight is
+the per-LCA total of those edges. The LCAs come from one batch of binary
+lifting queries (`spantree.tree_paths`), so the whole pass takes
+O(n + m log n) work: O(n + m) for the sums and O(log n) lifting steps
+per non-tree edge.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .spantree import RootedTree
+from .spantree import RootedTree, tree_paths
 
 
 @dataclass
@@ -36,92 +43,47 @@ class CutAttributes:
     inter_weight: np.ndarray
 
 
-def _traverse(g: Graph, t: RootedTree, stats: dict | None):
+def _subtree_sums(t: RootedTree, x: np.ndarray) -> np.ndarray:
+    """Per-vertex sum of x over the vertex's subtree."""
+    prefix = np.zeros(t.n + 1)
+    np.cumsum(x[t.preorder], out=prefix[1:])
+    return prefix[np.asarray(t.max_label) + 1] - prefix[t.label]
+
+
+def _aggregates(g: Graph, t: RootedTree, stats: dict | None):
     if t.n != g.n:
         raise ValueError("tree does not match graph")
     n = g.n
-    off = g.adj_off_list
-    nbr = g.adj_nbr_list
-    eid = g.adj_eid_list
-    w = g.edge_w_list
-    wdeg = g.weighted_degree.tolist()
-    total = g.total_volume
+    parent_edge = np.asarray(t.parent_edge, dtype=np.int64)
+    child = np.flatnonzero(parent_edge >= 0)
+    tree_edges = parent_edge[child]
+    non_tree = np.ones(g.m, dtype=bool)
+    non_tree[tree_edges] = False
+    a = g.edge_u[non_tree]
+    b = g.edge_v[non_tree]
+    w = g.edge_w[non_tree]
+    paths = tree_paths(t, a, b)
+    lca = paths.lca
 
-    label = t.label
-    max_label = t.max_label
-    parent = t.parent
-    depth = t.depth
-    children = t.children
+    sub = _subtree_sums(t, g.weighted_degree)
+    # An edge counts once at its LCA per endpoint other than the LCA.
+    intra = np.bincount(lca, weights=w * (2 - (a == lca) - (b == lca)),
+                        minlength=n)
+    diff = (np.bincount(a, weights=w, minlength=n)
+            + np.bincount(b, weights=w, minlength=n)
+            - 2.0 * np.bincount(lca, weights=w, minlength=n))
+    inter = _subtree_sums(t, diff)
 
-    is_tree = bytearray(g.m)
-    for e in t.parent_edge:
-        if e >= 0:
-            is_tree[e] = 1
-
-    sub = [0.0] * n
-    intra = [0.0] * n
-    inter = [0.0] * n
     cond = np.full(g.m, np.nan)
-    visits = 0
-
-    for u in reversed(t.preorder):
-        pe = -1
-        if not children[u]:
-            # Leaf: subtree volume is the vertex's own weighted degree and
-            # every incident non-tree edge leaves the subtree.
-            sub[u] = wdeg[u]
-            for i in range(off[u], off[u + 1]):
-                visits += 1
-                e = eid[i]
-                if is_tree[e]:
-                    pe = e
-                else:
-                    a, b = u, nbr[i]
-                    while depth[a] > depth[b]:
-                        a = parent[a]
-                    while depth[b] > depth[a]:
-                        b = parent[b]
-                    while a != b:
-                        a = parent[a]
-                        b = parent[b]
-                    intra[a] += w[e]
-                    inter[u] += w[e]
-        else:
-            lu = label[u]
-            ml = max_label[u]
-            for i in range(off[u], off[u + 1]):
-                visits += 1
-                e = eid[i]
-                v = nbr[i]
-                if is_tree[e]:
-                    if lu < label[v]:
-                        sub[u] += sub[v]
-                        inter[u] += inter[v]
-                    else:
-                        pe = e
-                else:
-                    lv = label[v]
-                    if lv < lu or lv > ml:
-                        # v outside u's subtree; edges into the subtree were
-                        # already accounted at the other endpoint.
-                        a, b = u, v
-                        while depth[a] > depth[b]:
-                            a = parent[a]
-                        while depth[b] > depth[a]:
-                            b = parent[b]
-                        while a != b:
-                            a = parent[a]
-                            b = parent[b]
-                        intra[a] += w[e]
-                        inter[u] += w[e]
-            sub[u] += wdeg[u]
-            inter[u] -= intra[u]
-        if pe >= 0:
-            cond[pe] = (inter[u] + w[pe]) / min(sub[u], total - sub[u])
-
+    vol = sub[child]
+    cond[tree_edges] = ((inter[child] + g.edge_w[tree_edges])
+                        / np.minimum(vol, g.total_volume - vol))
     if stats is not None:
-        stats["adjacency_visits"] = visits
+        # Each edge's two adjacency entries are read once, by the tree split
+        # and the difference array; path_steps are the LCA lifting steps.
+        stats["adjacency_visits"] = 2 * g.m
         stats["vertex_visits"] = n
+        stats["path_steps"] = paths.steps
     return cond, sub, intra, inter
 
 
@@ -130,23 +92,23 @@ def all_fundamental_conductances(g: Graph, t: RootedTree,
     """Conductance of each tree edge's fundamental cut.
 
     Returns a dense array over canonical edge ids; entries for non-tree
-    edges are NaN. Pass a dict as `stats` to collect adjacency-visit
-    counters for work-bound checks.
+    edges are NaN. Pass a dict as `stats` to collect the work counters
+    adjacency_visits, vertex_visits and path_steps.
     """
-    cond, _, _, _ = _traverse(g, t, stats)
+    cond, _, _, _ = _aggregates(g, t, stats)
     return cond
 
 
 def cut_attributes(g: Graph, t: RootedTree) -> CutAttributes:
-    """The three per-vertex aggregates computed by the traversal."""
-    _, sub, intra, inter = _traverse(g, t, None)
-    return CutAttributes(np.asarray(sub), np.asarray(intra), np.asarray(inter))
+    """The three per-vertex aggregates behind the conductances."""
+    _, sub, intra, inter = _aggregates(g, t, None)
+    return CutAttributes(sub, intra, inter)
 
 
 def brute_force_conductance(g: Graph, t: RootedTree, edge_id: int) -> float:
     """Oracle: delete the tree edge, two-color, and apply the definition.
 
-    Independent of the traversal above; used to validate it.
+    Independent of the array pass above; used to validate it.
     """
     a = int(g.edge_u[edge_id])
     b = int(g.edge_v[edge_id])

@@ -8,6 +8,8 @@ both endpoints' adjacency lines with the same weight.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .graph import Graph
@@ -24,12 +26,20 @@ def _num(token: str) -> float:
         raise MetisFormatError(f"invalid numeric token {token!r}") from None
 
 
+def _int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise MetisFormatError(f"invalid integer token {token!r}") from None
+
+
 def parse_metis(text: str | bytes) -> Graph:
     """Parse METIS adjacency text into a Graph.
 
     Absent weights default to 1. Parallel entries for the same vertex pair
     are merged by summing weights. Raises MetisFormatError on asymmetric
-    adjacency, out-of-range ids, self-loops, or a header/edge-count mismatch.
+    adjacency, non-integer or out-of-range ids, self-loops, non-blank lines
+    after the n vertex lines, or a header/edge-count mismatch.
     """
     if isinstance(text, bytes):
         text = text.decode("ascii")
@@ -40,7 +50,9 @@ def parse_metis(text: str | bytes) -> Graph:
     header = lines[0].split()
     if len(header) not in (2, 3):
         raise MetisFormatError(f"header must be 'n m [fmt]', got {header!r}")
-    n, m_header = int(header[0]), int(header[1])
+    n, m_header = _int(header[0]), _int(header[1])
+    if n < 1 or m_header < 0:
+        raise MetisFormatError(f"header needs n >= 1 and m >= 0, got {header!r}")
     fmt = header[2] if len(header) == 3 else "0"
     if fmt not in ("0", "00", "1", "01", "10", "11"):
         raise MetisFormatError(f"unsupported fmt flag {fmt!r}")
@@ -50,6 +62,8 @@ def parse_metis(text: str | bytes) -> Graph:
     body = lines[1:]
     if len(body) < n:
         raise MetisFormatError(f"expected {n} vertex lines, found {len(body)}")
+    if any(ln.strip() for ln in body[n:]):
+        raise MetisFormatError(f"more than the {n} vertex lines")
 
     vertex_c = np.ones(n, dtype=np.int64)
     # Directed view of the file: per ordered pair, summed weight and entry
@@ -63,7 +77,7 @@ def parse_metis(text: str | bytes) -> Graph:
             if not tokens:
                 raise MetisFormatError(f"vertex {u + 1}: missing vertex weight")
             cw = _num(tokens[0])
-            if cw <= 0 or cw != int(cw):
+            if cw <= 0 or not cw.is_integer():
                 raise MetisFormatError(
                     f"vertex {u + 1}: vertex weight must be a positive integer")
             vertex_c[u] = int(cw)
@@ -72,7 +86,7 @@ def parse_metis(text: str | bytes) -> Graph:
         if (len(tokens) - pos) % step:
             raise MetisFormatError(f"vertex {u + 1}: ragged adjacency line")
         while pos < len(tokens):
-            t = int(_num(tokens[pos]))
+            t = _int(tokens[pos])
             if t < 1 or t > n:
                 raise MetisFormatError(
                     f"vertex {u + 1}: neighbor id {t} out of range")
@@ -80,9 +94,9 @@ def parse_metis(text: str | bytes) -> Graph:
             if v == u:
                 raise MetisFormatError(f"vertex {u + 1}: self-loop")
             w = _num(tokens[pos + 1]) if has_eweights else 1.0
-            if w <= 0:
+            if not 0.0 < w < math.inf:
                 raise MetisFormatError(
-                    f"vertex {u + 1}: edge weight must be positive")
+                    f"vertex {u + 1}: edge weight must be positive and finite")
             acc = directed.setdefault((u, v), [0.0, 0])
             acc[0] += w
             acc[1] += 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import Graph
-from .spantree import RootedTree
+from .spantree import RootedTree, tree_paths
 
 
 def cond_all_edges(g: Graph, t: RootedTree,
@@ -21,39 +21,16 @@ def cond_all_edges(g: Graph, t: RootedTree,
 
     For a tree edge that is its own fundamental cut's conductance (no other
     fundamental cut-set contains a tree edge). For a non-tree edge {u, v} it
-    is the minimum over the tree edges on the u-v path, found by walking
-    both endpoints up to their common ancestor.
+    is the minimum over the tree edges on the u-v path, taken from one batch
+    of tree-path queries.
     """
     out = np.array(tree_conds, dtype=np.float64, copy=True)
-    parent = t.parent
-    parent_edge = t.parent_edge
-    depth = t.depth
-    conds = tree_conds.tolist()
-    eu = g.edge_u.tolist()
-    ev = g.edge_v.tolist()
-    for e in np.flatnonzero(np.isnan(out)).tolist():
-        a, b = eu[e], ev[e]
-        best = np.inf
-        while depth[a] > depth[b]:
-            c = conds[parent_edge[a]]
-            if c < best:
-                best = c
-            a = parent[a]
-        while depth[b] > depth[a]:
-            c = conds[parent_edge[b]]
-            if c < best:
-                best = c
-            b = parent[b]
-        while a != b:
-            c = conds[parent_edge[a]]
-            if c < best:
-                best = c
-            a = parent[a]
-            c = conds[parent_edge[b]]
-            if c < best:
-                best = c
-            b = parent[b]
-        out[e] = best
+    non_tree = np.flatnonzero(np.isnan(out))
+    if non_tree.size == 0:
+        return out
+    per_vertex = out[np.asarray(t.parent_edge, dtype=np.int64)]
+    out[non_tree] = tree_paths(t, g.edge_u[non_tree], g.edge_v[non_tree],
+                               per_vertex).minimum
     return out
 
 

@@ -1,9 +1,9 @@
-"""Spanning trees: Kruskal MST, rooted preorder labeling, LCA queries."""
+"""Spanning trees: Kruskal MST, rooted preorder labeling, tree-path queries."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,3 +156,68 @@ def lca(t: RootedTree, u: int, v: int) -> int:
         u = parent[u]
         v = parent[v]
     return u
+
+
+class TreePaths(NamedTuple):
+    """Answers of a batch of tree-path queries.
+
+    lca[i] is the lowest common ancestor of the i-th vertex pair. minimum[i]
+    is the smallest per-vertex value over the path's tree edges (inf for a
+    pair of equal vertices), or None when no values were given. steps counts
+    the element steps of binary lifting: ancestor-table entries built plus
+    one per pair and table level in each of the two lifting phases.
+    """
+
+    lca: np.ndarray
+    minimum: np.ndarray | None
+    steps: int
+
+
+def tree_paths(t: RootedTree, a, b, values=None) -> TreePaths:
+    """LCAs, and optionally path minima, of many vertex pairs at once.
+
+    Binary lifting over the parent array: with L = bit length of the tree
+    depth, building the 2^k-ancestor tables takes n(L-1) steps and each pair
+    takes 2L, so a batch of q pairs costs O((n + q) log n). values[v] is the
+    value of v's parent edge; the root's entry is ignored.
+    """
+    parent = np.asarray(t.parent, dtype=np.int64)
+    depth = np.asarray(t.depth, dtype=np.int64)
+    a = np.array(a, dtype=np.int64)
+    b = np.array(b, dtype=np.int64)
+    levels = max(1, int(depth.max()).bit_length())
+    up = [parent]
+    for _ in range(1, levels):
+        up.append(up[-1][up[-1]])
+    mins = None
+    if values is not None:
+        # mn[k][v]: minimum over the 2^k parent edges above v. Windows that
+        # reach past the root are never read, so the root's entry is unused.
+        mn = [np.asarray(values, dtype=np.float64)]
+        for k in range(levels - 1):
+            mn.append(np.minimum(mn[k], mn[k][up[k]]))
+        mins = np.full(a.size, np.inf)
+
+    swap = depth[a] < depth[b]
+    a[swap], b[swap] = b[swap], a[swap]
+    lift = depth[a] - depth[b]
+    for k in range(levels):
+        sel = np.flatnonzero((lift >> k) & 1)
+        if mins is not None:
+            mins[sel] = np.minimum(mins[sel], mn[k][a[sel]])
+        a[sel] = up[k][a[sel]]
+    for k in reversed(range(levels)):
+        ua, ub = up[k][a], up[k][b]
+        sel = np.flatnonzero(ua != ub)
+        if mins is not None:
+            mins[sel] = np.minimum(mins[sel], np.minimum(mn[k][a[sel]],
+                                                         mn[k][b[sel]]))
+        a[sel] = ua[sel]
+        b[sel] = ub[sel]
+    # a and b are now equal (the LCA) or children of the LCA.
+    below = a != b
+    if mins is not None:
+        mins[below] = np.minimum(mins[below], np.minimum(mn[0][a[below]],
+                                                         mn[0][b[below]]))
+    steps = t.n * (levels - 1) + 2 * levels * a.size
+    return TreePaths(np.where(below, parent[a], a), mins, steps)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from treepart import Graph
+from treepart import Graph, RootedTree, sample_bft
 
 
 @pytest.fixture
@@ -78,3 +79,85 @@ def random_balanced_blocks(g: Graph, rng: random.Random) -> list[int] | None:
     for v in ids[: (n + 1) // 2]:
         block[v] = 0
     return block
+
+
+def cut_corpus(count: int = 1000, seed: int = 20240501):
+    """Seeded random connected graphs with random BFT spanning trees."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(count):
+        g = random_connected_graph(rng, n_lo=3, n_hi=12, w_lo=1, w_hi=10)
+        t = sample_bft(g, rng.randrange(2 ** 32))
+        corpus.append((g, t))
+    return corpus
+
+
+def postorder_cut_aggregates(g: Graph, t: RootedTree):
+    """Oracle: fundamental-cut conductances and the three per-vertex
+    aggregates (subtree volume, intra and inter weight) from one postorder
+    traversal that walks parent pointers to each non-tree edge's LCA.
+
+    Returns (cond, subtree_vol, intra_weight, inter_weight); cond is NaN on
+    non-tree edges. Independent of the prefix-sum and binary-lifting code in
+    treepart.fundcut, whose results it must reproduce.
+    """
+    n = g.n
+    off = g.adj_off_list
+    nbr = g.adj_nbr_list
+    eid = g.adj_eid_list
+    w = g.edge_w_list
+    wdeg = g.weighted_degree.tolist()
+    total = g.total_volume
+    label, max_label = t.label, t.max_label
+    parent, depth, children = t.parent, t.depth, t.children
+
+    is_tree = bytearray(g.m)
+    for e in t.parent_edge:
+        if e >= 0:
+            is_tree[e] = 1
+
+    def walk_lca(a, b):
+        while depth[a] > depth[b]:
+            a = parent[a]
+        while depth[b] > depth[a]:
+            b = parent[b]
+        while a != b:
+            a = parent[a]
+            b = parent[b]
+        return a
+
+    sub = [0.0] * n
+    intra = [0.0] * n
+    inter = [0.0] * n
+    cond = np.full(g.m, np.nan)
+    for u in reversed(t.preorder):
+        pe = -1
+        if not children[u]:
+            # Leaf: every incident non-tree edge leaves the subtree.
+            sub[u] = wdeg[u]
+            for i in range(off[u], off[u + 1]):
+                e = eid[i]
+                if is_tree[e]:
+                    pe = e
+                else:
+                    intra[walk_lca(u, nbr[i])] += w[e]
+                    inter[u] += w[e]
+        else:
+            for i in range(off[u], off[u + 1]):
+                e = eid[i]
+                v = nbr[i]
+                if is_tree[e]:
+                    if label[u] < label[v]:
+                        sub[u] += sub[v]
+                        inter[u] += inter[v]
+                    else:
+                        pe = e
+                elif not label[u] <= label[v] <= max_label[u]:
+                    # Edges into the subtree are counted at the other end.
+                    intra[walk_lca(u, v)] += w[e]
+                    inter[u] += w[e]
+            sub[u] += wdeg[u]
+            inter[u] -= intra[u]
+        if pe >= 0:
+            cond[pe] = (inter[u] + w[pe]) / min(sub[u], total - sub[u])
+    return cond, np.asarray(sub), np.asarray(intra), np.asarray(inter)

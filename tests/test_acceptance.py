@@ -23,8 +23,9 @@ from treepart import (Partition, PartitionConfig, all_fundamental_conductances,
                       partition_multilevel, root_and_label, sample_bft,
                       save_metis)
 from treepart.cli import main as cli_main
-from tests.conftest import random_balanced_blocks, random_connected_graph
-from tests.test_fundcut import brute_attributes
+from tests.conftest import (cut_corpus, random_balanced_blocks,
+                            random_connected_graph)
+from tests.test_fundcut import brute_attributes, family, tree_plus_chords
 from tests.test_rating import brute_cond
 
 
@@ -36,13 +37,7 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def small_corpus():
     """1000 seeded random connected graphs with random spanning trees."""
-    rng = random.Random(20240501)
-    corpus = []
-    for _ in range(1000):
-        g = random_connected_graph(rng, n_lo=3, n_hi=12, w_lo=1, w_hi=10)
-        t = sample_bft(g, rng.randrange(2 ** 32))
-        corpus.append((g, t))
-    return corpus
+    return cut_corpus()
 
 
 DESK_GRAPHS = [(10000, attach, 9000 + i)
@@ -113,6 +108,11 @@ def test_criterion_2_traversal_field_equalities(small_corpus):
            f"{mismatches} field mismatches over 1000 graphs (exact compare)")
 
 
+def path_step_bound(g):
+    """O(m log n) bound on the LCA lifting steps of one conductance pass."""
+    return (2 * g.m + g.n) * max(1, (g.n - 1).bit_length())
+
+
 def test_criterion_3_linear_work_bound(small_corpus):
     over = 0
     for g, t in small_corpus:
@@ -120,30 +120,43 @@ def test_criterion_3_linear_work_bound(small_corpus):
         all_fundamental_conductances(g, t, stats)
         if stats["adjacency_visits"] + stats["vertex_visits"] > 2 * g.m + g.n:
             over += 1
+        if stats["path_steps"] > path_step_bound(g):
+            over += 1
 
-    def prepared(n):
-        g = generate_scale_free(n, 8, 321)
-        t = sample_bft(g, 7)
-        g.adj_off_list, g.adj_nbr_list, g.adj_eid_list  # warm list caches
-        g.weighted_degree
+    def prepared(g, t):
+        g.weighted_degree, g.total_volume  # warm cached properties
         return g, t
 
-    small = prepared(12500)   # m close to 1e5
-    big = prepared(25000)     # m close to 2e5
-    best = [float("inf"), float("inf")]
-    for _ in range(5):        # interleaved best-of-5 to suppress noise
-        for i, (g, t) in enumerate((small, big)):
-            stats = {}
-            t0 = time.perf_counter()
-            all_fundamental_conductances(g, t, stats)
-            best[i] = min(best[i], time.perf_counter() - t0)
-            assert stats["adjacency_visits"] + stats["vertex_visits"] \
-                <= 2 * g.m + g.n
-    ratio = best[1] / best[0]
-    ok = over == 0 and ratio <= 3.0
-    report(3, ok, f"visit counter within 2m+n on all instances; runtime "
-                  f"{best[0] * 1e3:.0f}ms @m={small[0].m} vs "
-                  f"{best[1] * 1e3:.0f}ms @m={big[0].m}, ratio {ratio:.2f} <= 3")
+    families = {
+        "scale-free": [prepared(g, sample_bft(g, 7)) for g in
+                       (generate_scale_free(12500, 8, 321),   # m close to 1e5
+                        generate_scale_free(25000, 8, 321))],  # m close to 2e5
+        # Path tree rooted at an end, 2n random and n/2 long chords.
+        "path+chords": [prepared(*tree_plus_chords(
+                            *family("path", n, random.Random(321)), 0))
+                        for n in (28000, 56000)],        # m close to 1e5, 2e5
+    }
+    ratios = {}
+    details = []
+    for name, (small, big) in families.items():
+        best = [float("inf"), float("inf")]
+        for _ in range(5):    # interleaved best-of-5 to suppress noise
+            for i, (g, t) in enumerate((small, big)):
+                stats = {}
+                t0 = time.perf_counter()
+                all_fundamental_conductances(g, t, stats)
+                best[i] = min(best[i], time.perf_counter() - t0)
+                assert stats["adjacency_visits"] + stats["vertex_visits"] \
+                    <= 2 * g.m + g.n
+                assert stats["path_steps"] <= path_step_bound(g)
+        ratios[name] = best[1] / best[0]
+        details.append(f"{name} {best[0] * 1e3:.0f}ms @m={small[0].m} vs "
+                       f"{best[1] * 1e3:.0f}ms @m={big[0].m}, ratio "
+                       f"{ratios[name]:.2f} <= 3")
+    ok = over == 0 and all(r <= 3.0 for r in ratios.values())
+    report(3, ok, "visit counter within 2m+n and lifting steps within "
+                  "(2m+n)*bitlen(n-1) on all instances; runtime "
+                  + "; ".join(details))
 
 
 def test_criterion_4_cond_matches_cut_enumeration():

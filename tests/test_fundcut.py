@@ -3,10 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from treepart import (all_fundamental_conductances,
-                      brute_force_conductance, cut_attributes, lca,
-                      root_and_label, sample_bft, volume)
-from tests.conftest import random_connected_graph
+from treepart import (Graph, all_fundamental_conductances,
+                      brute_force_conductance, cond_all_edges, cut_attributes,
+                      lca, root_and_label, sample_bft, volume)
+from tests.conftest import (cut_corpus, postorder_cut_aggregates,
+                            random_connected_graph)
 
 
 def descendants(t, u):
@@ -134,3 +135,111 @@ class TestAgainstOracle:
             all_fundamental_conductances(g, t, stats)
             assert stats["adjacency_visits"] + stats["vertex_visits"] \
                 <= 2 * g.m + g.n
+
+
+def array_pass(g, t):
+    """Conductances and aggregates of the array pass, oracle-shaped."""
+    attrs = cut_attributes(g, t)
+    return (all_fundamental_conductances(g, t), attrs.subtree_vol,
+            attrs.intra_weight, attrs.inter_weight)
+
+
+def tree_plus_chords(parent, chords, root, rng=None):
+    """Graph of the tree given by `parent` (vertex i > 0 hangs below
+    parent[i] < i) plus `chords`, rooted at `root`; integer weights from
+    `rng` if given. Returns (g, t)."""
+    tree = [(parent[i], i) for i in range(1, len(parent))]
+    tree_set = set(tree)
+    edges = tree + [(u, v) for u, v in chords
+                    if u != v and (min(u, v), max(u, v)) not in tree_set]
+    weights = rng and [rng.randint(1, 10) for _ in edges]
+    g = Graph.from_edges(len(parent), edges, edge_weights=weights)
+    return g, root_and_label(g, [g.edge_ids[e] for e in tree], root)
+
+
+def reweighted(g, rng):
+    """Same graph with weights log-uniform over 1e-3..1e3."""
+    w = [10 ** rng.uniform(-3, 3) for _ in range(g.m)]
+    return Graph.from_edges(g.n, zip(g.edge_u.tolist(), g.edge_v.tolist()),
+                            edge_weights=w)
+
+
+def family(name, n, rng):
+    """(parent list, chord list) of one adversarial tree family."""
+    if name == "path":
+        parent = [max(i - 1, 0) for i in range(n)]
+    elif name == "star":
+        parent = [0] * n
+    elif name == "caterpillar":
+        spine = max(1, n // 2)
+        parent = [max(i - 1, 0) if i < spine else rng.randrange(spine)
+                  for i in range(n)]
+    else:
+        parent = [rng.randrange(i) if i else 0 for i in range(n)]
+    chords = [(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)]
+    if name == "path":
+        chords += [(i, n - 1 - i) for i in range(n // 2)]  # long chords
+    return parent, chords
+
+
+FAMILIES = ["path", "star", "caterpillar", "random"]
+
+
+class TestAgainstPostorderOracle:
+    """The array pass against the parent-walking postorder traversal, on
+    the criterion-1 corpus and on adversarial tree families."""
+
+    def test_corpus_bit_identical(self):
+        for g, t in cut_corpus():
+            for got, want in zip(array_pass(g, t),
+                                 postorder_cut_aggregates(g, t)):
+                assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_families_bit_identical(self, name):
+        rng = random.Random(name)
+        for n in (1, 2, 3, 17, 64, 200):
+            parent, chords = family(name, n, rng)
+            for root in {0, n // 2, n - 1}:
+                g, t = tree_plus_chords(parent, chords, root, rng)
+                for got, want in zip(array_pass(g, t),
+                                     postorder_cut_aggregates(g, t)):
+                    assert np.array_equal(got, want, equal_nan=True)
+
+    def test_single_vertex_and_single_edge(self):
+        g = Graph.from_edges(1, [])
+        t = root_and_label(g, [], 0)
+        conds = all_fundamental_conductances(g, t)
+        assert conds.size == 0 and cond_all_edges(g, t, conds).size == 0
+        g = Graph.from_edges(2, [(0, 1)], edge_weights=[3.0])
+        for root in (0, 1):
+            t = root_and_label(g, [0], root)
+            assert list(all_fundamental_conductances(g, t)) == [1.0]
+            vol = cut_attributes(g, t).subtree_vol
+            assert (vol[root], vol[1 - root]) == (6.0, 3.0)
+
+    @pytest.mark.parametrize("name", FAMILIES + ["corpus"])
+    def test_wide_float_weights_agree(self, name):
+        # Prefix-sum differences round differently from the postorder sums,
+        # so results may differ in the last digits. The tolerance is fixed
+        # at a relative 1e-8; aggregates are taken relative to the total
+        # volume, since an inter weight can cancel to zero.
+        rng = random.Random(f"float-{name}")
+        if name == "corpus":
+            cases = [(reweighted(g, rng), t) for g, t in cut_corpus(200)]
+        else:
+            cases = []
+            for n in (2, 17, 64, 200):
+                parent, chords = family(name, n, rng)
+                g, t = tree_plus_chords(parent, chords, n // 2)
+                cases.append((reweighted(g, rng), t))
+        for g, t in cases:
+            got = array_pass(g, t)
+            want = postorder_cut_aggregates(g, t)
+            assert np.allclose(got[0], want[0], rtol=1e-8, atol=0,
+                               equal_nan=True)
+            for a, b in zip(got[1:], want[1:]):
+                assert np.allclose(a, b, rtol=0, atol=1e-8 * g.total_volume)
+            full = cond_all_edges(g, t, got[0])
+            assert np.allclose(full, cond_all_edges(g, t, want[0]),
+                               rtol=1e-8, atol=0)

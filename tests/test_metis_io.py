@@ -90,3 +90,34 @@ def test_write_partition(tmp_path):
     path = tmp_path / "out.part"
     write_partition([0, 1, 1, 0], path)
     assert path.read_text() == "0\n1\n1\n0\n"
+
+
+@pytest.mark.parametrize("token", ["2.7", "2.0", "nan", "inf", "x"])
+def test_non_integer_neighbor_id_rejected(token):
+    with pytest.raises(MetisFormatError, match="invalid integer"):
+        parse_metis(f"2 1\n{token}\n1\n")
+
+
+def test_non_blank_line_after_vertex_lines_rejected():
+    with pytest.raises(MetisFormatError, match="more than the 2"):
+        parse_metis("2 1\n2\n1\n1\n")
+    assert parse_metis("2 1\n2\n1\n\n   \n").m == 1
+
+
+@pytest.mark.parametrize("header", ["a 1", "2 b", "2.0 1", "0 0", "-1 0",
+                                    "2 -1"])
+def test_invalid_header_rejected(header):
+    with pytest.raises(MetisFormatError, match="header|invalid integer"):
+        parse_metis(f"{header}\n2\n1\n")
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "0", "-1"])
+def test_non_positive_or_non_finite_edge_weight_rejected(weight):
+    with pytest.raises(MetisFormatError, match="edge weight"):
+        parse_metis(f"2 1 1\n2 {weight}\n1 {weight}\n")
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "1.5", "0"])
+def test_invalid_vertex_weight_rejected(weight):
+    with pytest.raises(MetisFormatError, match="vertex weight"):
+        parse_metis(f"2 1 10\n{weight} 2\n1 1\n")

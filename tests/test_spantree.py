@@ -1,9 +1,13 @@
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treepart import (Graph, lca, minimum_spanning_tree, root_and_label,
                       sample_bft)
+from treepart.spantree import tree_paths
 from tests.conftest import random_connected_graph
 
 
@@ -139,3 +143,61 @@ class TestLca:
             for _ in range(20):
                 u, v = rng.randrange(g.n), rng.randrange(g.n)
                 assert lca(t, u, v) == naive_lca(t, u, v)
+
+
+def walk_path_min(t, u, v, values):
+    """Oracle: minimum of values[x] over the vertices x whose parent edge
+    lies on the u-v tree path, by walking up to the scalar LCA."""
+    top = lca(t, u, v)
+    best = math.inf
+    for x in (u, v):
+        while x != top:
+            best = min(best, values[x])
+            x = t.parent[x]
+    return best
+
+
+@st.composite
+def rooted_trees(draw):
+    """A path, star, caterpillar or random tree on shuffled vertex ids,
+    rooted anywhere."""
+    n = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["path", "star", "caterpillar", "random"]))
+    spine = max(1, n // 2)
+    parent = [0]
+    for i in range(1, n):
+        if shape == "path" or (shape == "caterpillar" and i < spine):
+            parent.append(i - 1)
+        elif shape == "star":
+            parent.append(0)
+        else:
+            parent.append(draw(st.integers(0, (i if shape == "random"
+                                               else spine) - 1)))
+    ids = draw(st.permutations(range(n)))
+    g = Graph.from_edges(n, [(ids[parent[i]], ids[i]) for i in range(1, n)])
+    return root_and_label(g, range(n - 1), draw(st.integers(0, n - 1)))
+
+
+@st.composite
+def path_queries(draw):
+    t = draw(rooted_trees())
+    vertex = st.integers(0, t.n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+    values = draw(st.lists(st.floats(-1e3, 1e3), min_size=t.n,
+                           max_size=t.n))
+    return t, pairs, values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(path_queries())
+def test_tree_paths_match_scalar_walk(query):
+    t, pairs, values = query
+    a = [u for u, _ in pairs]
+    b = [v for _, v in pairs]
+    got = tree_paths(t, a, b, values)
+    assert got.lca.tolist() == [lca(t, u, v) for u, v in pairs]
+    assert got.minimum.tolist() == [walk_path_min(t, u, v, values)
+                                    for u, v in pairs]
+    assert tree_paths(t, a, b).minimum is None
+    levels = max(1, max(t.depth).bit_length())
+    assert got.steps == t.n * (levels - 1) + 2 * levels * len(pairs)
