@@ -11,7 +11,7 @@ communication volume (MCV) postprocessing.
 from .bench import (ExperimentReport, RunRecord, config_label, emit_csv,
                     emit_table, geometric_mean, run_experiment, run_single)
 from .fundcut import (CutAttributes, all_fundamental_conductances,
-                      brute_force_conductance, cut_attributes)
+                      cut_attributes)
 from .generators import generate_scale_free
 from .graph import (Graph, check_connected, connected_components,
                     largest_component, volume)
@@ -32,7 +32,7 @@ __all__ = [
     "CutAttributes", "DirectedEdgeCounts", "ExperimentReport", "Graph",
     "MetisFormatError", "Partition", "PartitionConfig", "RATINGS",
     "RootedTree", "RunRecord", "algebraic_distance",
-    "all_fundamental_conductances", "balance_cap", "brute_force_conductance",
+    "all_fundamental_conductances", "balance_cap",
     "check_connected", "comm_volumes", "cond_all_edges", "config_label",
     "connected_components", "contract", "contrast", "compute_rating",
     "cut_attributes", "directed_edge_counts", "edge_cut", "emit_csv",

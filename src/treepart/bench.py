@@ -84,10 +84,7 @@ def run_single(g: Graph, cfg: PartitionConfig, seed: int, *,
 
 
 def _run_job(args):
-    (path, name, cfg, runs, base_seed, postprocess, mcv_rounds, timing) = args
-    g = load_metis(path)
-    if not check_connected(g):
-        raise ValueError("graph is not connected")
+    (g, name, cfg, runs, base_seed, postprocess, mcv_rounds, timing) = args
     label = config_label(cfg)
     records = []
     best = None
@@ -108,19 +105,23 @@ def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
                    jobs: int = 1, timing: bool = True) -> ExperimentReport:
     """Run the full (graph x config) grid.
 
-    Graphs that fail to parse or are disconnected are skipped and reported
-    under `errors`. The first config is the reference for quotients.
+    Each graph is parsed once and held until the grid ends; graphs that
+    fail to parse or are disconnected are skipped and reported under
+    `errors`. Two paths with the same name (file name without `.graph`)
+    are rejected. The first config is the reference for quotients.
     """
     if runs < 1:
         raise ValueError("need at least one run")
     if not configs:
         raise ValueError("need at least one config")
-    names = []
+    graph_paths = list(graph_paths)
+    names = [_graph_name(path) for path in graph_paths]
+    dupes = sorted({name for name in names if names.count(name) > 1})
+    if dupes:
+        raise ValueError(f"duplicate graph names: {', '.join(dupes)}")
     usable = []
     errors: list[tuple[str, str]] = []
-    for path in graph_paths:
-        name = _graph_name(path)
-        names.append(name)
+    for path, name in zip(graph_paths, names):
         try:
             g = load_metis(path)
             if not check_connected(g):
@@ -128,10 +129,10 @@ def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
         except (OSError, ValueError) as exc:
             errors.append((name, str(exc)))
             continue
-        usable.append((path, name))
+        usable.append((g, name))
 
-    jobs_args = [(path, name, cfg, runs, base_seed, postprocess, mcv_rounds,
-                  timing) for path, name in usable for cfg in configs]
+    jobs_args = [(g, name, cfg, runs, base_seed, postprocess, mcv_rounds,
+                  timing) for g, name in usable for cfg in configs]
     results = []
     if jobs > 1 and len(jobs_args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -200,32 +201,19 @@ def emit_csv(report: ExperimentReport, timing: bool = True) -> str:
     With timing disabled the time columns are left empty, so reports from
     repeated identical invocations are byte-identical.
     """
+    def cells(values):
+        return ["" if ind == "avgTime" and not timing else _fmt(values[ind])
+                for ind in INDICATORS]
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for s in report.stats:
-        q = report.quotients[(s.graph, s.config)]
-        row = [s.graph, s.config]
-        for ind in INDICATORS:
-            if ind == "avgTime" and not timing:
-                row.append("")
-            else:
-                row.append(_fmt(s.values[ind]))
-        for ind in INDICATORS:
-            if ind == "avgTime" and not timing:
-                row.append("")
-            else:
-                row.append(_fmt(q[ind]))
-        writer.writerow(row)
+        writer.writerow([s.graph, s.config, *cells(s.values),
+                         *cells(report.quotients[(s.graph, s.config)])])
     for label in dict.fromkeys(s.config for s in report.stats):
-        gm = report.geo_means[label]
-        row = ["GEOMEAN", label, "", "", "", "", ""]
-        for ind in INDICATORS:
-            if ind == "avgTime" and not timing:
-                row.append("")
-            else:
-                row.append(_fmt(gm[ind]))
-        writer.writerow(row)
+        writer.writerow(["GEOMEAN", label, "", "", "", "", "",
+                         *cells(report.geo_means[label])])
     return buf.getvalue()
 
 

@@ -47,16 +47,15 @@ def _subtree_sums(t: RootedTree, x: np.ndarray) -> np.ndarray:
     """Per-vertex sum of x over the vertex's subtree."""
     prefix = np.zeros(t.n + 1)
     np.cumsum(x[t.preorder], out=prefix[1:])
-    return prefix[np.asarray(t.max_label) + 1] - prefix[t.label]
+    return prefix[t.max_label + 1] - prefix[t.label]
 
 
 def _aggregates(g: Graph, t: RootedTree, stats: dict | None):
     if t.n != g.n:
         raise ValueError("tree does not match graph")
     n = g.n
-    parent_edge = np.asarray(t.parent_edge, dtype=np.int64)
-    child = np.flatnonzero(parent_edge >= 0)
-    tree_edges = parent_edge[child]
+    child = np.flatnonzero(t.parent_edge >= 0)
+    tree_edges = t.parent_edge[child]
     non_tree = np.ones(g.m, dtype=bool)
     non_tree[tree_edges] = False
     a = g.edge_u[non_tree]
@@ -103,36 +102,3 @@ def cut_attributes(g: Graph, t: RootedTree) -> CutAttributes:
     """The three per-vertex aggregates behind the conductances."""
     _, sub, intra, inter = _aggregates(g, t, None)
     return CutAttributes(sub, intra, inter)
-
-
-def brute_force_conductance(g: Graph, t: RootedTree, edge_id: int) -> float:
-    """Oracle: delete the tree edge, two-color, and apply the definition.
-
-    Independent of the array pass above; used to validate it.
-    """
-    a = int(g.edge_u[edge_id])
-    b = int(g.edge_v[edge_id])
-    if t.parent_edge[a] != edge_id and t.parent_edge[b] != edge_id:
-        raise ValueError("edge is not a tree edge")
-    tadj: list[list[int]] = [[] for _ in range(g.n)]
-    for v, e in enumerate(t.parent_edge):
-        if e >= 0 and e != edge_id:
-            p = t.parent[v]
-            tadj[v].append(p)
-            tadj[p].append(v)
-    side = bytearray(g.n)
-    side[a] = 1
-    vol_a = float(g.weighted_degree[a])
-    queue = [a]
-    while queue:
-        u = queue.pop()
-        for v in tadj[u]:
-            if not side[v]:
-                side[v] = 1
-                vol_a += float(g.weighted_degree[v])
-                queue.append(v)
-    cut = 0.0
-    for e in range(g.m):
-        if side[g.edge_u[e]] != side[g.edge_v[e]]:
-            cut += float(g.edge_w[e])
-    return cut / min(vol_a, g.total_volume - vol_a)

@@ -42,17 +42,20 @@ class Graph:
         self.adj_off, self.adj_nbr, self.adj_eid = self._build_csr()
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
                    edge_weights: Sequence[float] | None = None,
                    vertex_weights: Sequence[int] | None = None) -> "Graph":
-        """Build a graph from an edge list, assigning canonical edge ids.
+        """Build a graph from endpoint pairs, assigning canonical edge ids.
 
-        Parallel edges are merged by summing their weights. Self-loops are
-        rejected. Missing weights default to 1.
+        `edges` is an iterable of (u, v) pairs or an integer array of shape
+        (k, 2). Parallel edges are merged by summing their weights.
+        Self-loops are rejected. Missing weights default to 1.
         """
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ValueError("vertex id out of range")
         if edge_weights is None:
@@ -116,14 +119,6 @@ class Graph:
         return self.adj_nbr.tolist()
 
     @cached_property
-    def adj_eid_list(self) -> list[int]:
-        return self.adj_eid.tolist()
-
-    @cached_property
-    def edge_w_list(self) -> list[float]:
-        return self.edge_w.tolist()
-
-    @cached_property
     def adj_w_list(self) -> list[float]:
         """Edge weight per CSR adjacency entry."""
         return self.edge_w[self.adj_eid].tolist()
@@ -152,9 +147,6 @@ class Graph:
         return {(int(u), int(v)): e
                 for e, (u, v) in enumerate(zip(self.edge_u, self.edge_v))}
 
-    def degree(self, v: int) -> int:
-        return int(self.adj_off[v + 1] - self.adj_off[v])
-
     def neighbors(self, v: int) -> list[int]:
         return self.adj_nbr[self.adj_off[v]:self.adj_off[v + 1]].tolist()
 
@@ -173,27 +165,12 @@ def volume(g: Graph, vertices: Iterable[int]) -> float:
 
 
 def check_connected(g: Graph) -> bool:
-    """True iff a BFS from vertex 0 reaches every vertex."""
-    if g.n <= 1:
-        return True
-    off = g.adj_off_list
-    nbr = g.adj_nbr_list
-    seen = bytearray(g.n)
-    seen[0] = 1
-    frontier = [0]
-    head = 0
-    while head < len(frontier):
-        u = frontier[head]
-        head += 1
-        for i in range(off[u], off[u + 1]):
-            t = nbr[i]
-            if not seen[t]:
-                seen[t] = 1
-                frontier.append(t)
-    return len(frontier) == g.n
+    """True iff the graph has a single connected component."""
+    return len(connected_components(g)) == 1
 
 
 def connected_components(g: Graph) -> list[list[int]]:
+    """Vertex lists of the connected components, each in BFS order."""
     off = g.adj_off_list
     nbr = g.adj_nbr_list
     seen = bytearray(g.n)
@@ -231,7 +208,7 @@ def largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
     mask = new_id[g.edge_u] >= 0
     sub = Graph.from_edges(
         len(keep),
-        zip(new_id[g.edge_u[mask]], new_id[g.edge_v[mask]]),
+        np.column_stack((new_id[g.edge_u[mask]], new_id[g.edge_v[mask]])),
         edge_weights=g.edge_w[mask],
         vertex_weights=g.vertex_c[old_ids],
     )

@@ -16,16 +16,18 @@ from .graph import Graph
 from .partition import Partition, balance_cap, is_balanced
 
 
-def comm_volumes(g: Graph, p: Partition) -> tuple[int, int]:
-    """Per-block communication volumes, recomputed from scratch."""
-    blk = p.block_array()
+def _boundary(g: Graph, blk: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """External degree of every vertex (its neighbors in the other block)
+    and the per-block counts of boundary vertices, where it is positive."""
     cross = blk[g.edge_u] != blk[g.edge_v]
     ext = (np.bincount(g.edge_u[cross], minlength=g.n)
            + np.bincount(g.edge_v[cross], minlength=g.n))
-    boundary = ext > 0
-    c0 = int(np.count_nonzero(boundary & (blk == 0)))
-    c1 = int(np.count_nonzero(boundary & (blk == 1)))
-    return c0, c1
+    return ext, [int(np.count_nonzero((ext > 0) & (blk == b))) for b in (0, 1)]
+
+
+def comm_volumes(g: Graph, p: Partition) -> tuple[int, int]:
+    """Per-block communication volumes, recomputed from scratch."""
+    return tuple(_boundary(g, p.block_array())[1])
 
 
 def mcv(g: Graph, p: Partition) -> int:
@@ -46,25 +48,25 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
 
     Each round snapshots the boundary vertices and visits them in a seeded
     random order; a vertex moves to the opposite block when the move keeps
-    or reduces MCV and preserves balance. Volumes and external degrees are
-    maintained incrementally, so deciding one vertex costs O(deg).
+    or reduces MCV and preserves balance. External degrees and volumes are
+    counted once up front and then maintained incrementally, so deciding
+    one vertex costs O(deg).
 
     The moves trade edge cut for communication volume, so the cut may grow.
     `on_accept`, if given, is called after every accepted move with the
     maintained (block, volumes, external_degree) state; tests use it to
     cross-check the incremental bookkeeping. A `stats` dict collects the
-    executed round count and the peak per-round adjacency touches.
+    executed round count and the peak per-round adjacency touches (both 0
+    when no round runs, e.g. on a graph without edges).
     """
     if not is_balanced(g, p, epsilon):
         raise ValueError("input partition violates the balance constraint")
     out = p.copy()
-    if g.n < 2 or g.m == 0:
-        return out
     cap = balance_cap(g, epsilon)
     block = out.block
     bw = out.block_weight
-    ext = out.external_degree
-    vols = list(comm_volumes(g, out))
+    ext, vols = _boundary(g, out.block_array())
+    ext = ext.tolist()
     off = g.adj_off_list
     nbr = g.adj_nbr_list
     c = g.vertex_c.tolist()

@@ -19,18 +19,16 @@ class MetisFormatError(ValueError):
     """Malformed METIS/Chaco input."""
 
 
-def _num(token: str) -> float:
+def _read(kind, token: str):
+    """kind(token) for kind int or float. Both also accept digit-group
+    underscores ("1_0" is 10), which the format has not, so those fail."""
     try:
-        return float(token)
+        if "_" not in token:
+            return kind(token)
     except ValueError:
-        raise MetisFormatError(f"invalid numeric token {token!r}") from None
-
-
-def _int(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise MetisFormatError(f"invalid integer token {token!r}") from None
+        pass
+    name = "integer" if kind is int else "numeric"
+    raise MetisFormatError(f"invalid {name} token {token!r}")
 
 
 def parse_metis(text: str | bytes) -> Graph:
@@ -50,7 +48,7 @@ def parse_metis(text: str | bytes) -> Graph:
     header = lines[0].split()
     if len(header) not in (2, 3):
         raise MetisFormatError(f"header must be 'n m [fmt]', got {header!r}")
-    n, m_header = _int(header[0]), _int(header[1])
+    n, m_header = _read(int, header[0]), _read(int, header[1])
     if n < 1 or m_header < 0:
         raise MetisFormatError(f"header needs n >= 1 and m >= 0, got {header!r}")
     fmt = header[2] if len(header) == 3 else "0"
@@ -76,7 +74,7 @@ def parse_metis(text: str | bytes) -> Graph:
         if has_vweights:
             if not tokens:
                 raise MetisFormatError(f"vertex {u + 1}: missing vertex weight")
-            cw = _num(tokens[0])
+            cw = _read(float, tokens[0])
             if cw <= 0 or not cw.is_integer():
                 raise MetisFormatError(
                     f"vertex {u + 1}: vertex weight must be a positive integer")
@@ -86,14 +84,14 @@ def parse_metis(text: str | bytes) -> Graph:
         if (len(tokens) - pos) % step:
             raise MetisFormatError(f"vertex {u + 1}: ragged adjacency line")
         while pos < len(tokens):
-            t = _int(tokens[pos])
+            t = _read(int, tokens[pos])
             if t < 1 or t > n:
                 raise MetisFormatError(
                     f"vertex {u + 1}: neighbor id {t} out of range")
             v = t - 1
             if v == u:
                 raise MetisFormatError(f"vertex {u + 1}: self-loop")
-            w = _num(tokens[pos + 1]) if has_eweights else 1.0
+            w = _read(float, tokens[pos + 1]) if has_eweights else 1.0
             if not 0.0 < w < math.inf:
                 raise MetisFormatError(
                     f"vertex {u + 1}: edge weight must be positive and finite")
@@ -134,8 +132,7 @@ def serialize_metis(g: Graph) -> str:
     fmt = {(False, False): "", (False, True): " 1",
            (True, False): " 10", (True, True): " 11"}[(has_vw, has_ew)]
     out = [f"{g.n} {g.m}{fmt}"]
-    off, nbr, eid = g.adj_off_list, g.adj_nbr_list, g.adj_eid_list
-    w = g.edge_w_list
+    off, nbr, w = g.adj_off_list, g.adj_nbr_list, g.adj_w_list
     for u in range(g.n):
         parts = []
         if has_vw:
@@ -143,7 +140,7 @@ def serialize_metis(g: Graph) -> str:
         for i in range(off[u], off[u + 1]):
             parts.append(str(nbr[i] + 1))
             if has_ew:
-                parts.append(_fmt_weight(w[eid[i]]))
+                parts.append(_fmt_weight(w[i]))
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
 

@@ -105,24 +105,21 @@ def contract(g: Graph, mate: np.ndarray) -> tuple[Graph, np.ndarray]:
     vertex map.
     """
     mate = np.asarray(mate, dtype=np.int64)
-    ok = (mate < 0) | (mate[np.maximum(mate, 0)] == np.arange(g.n))
+    ids = np.arange(g.n)
+    ok = (mate < 0) | ((mate != ids) & (mate[np.maximum(mate, 0)] == ids))
     if not ok.all():
-        raise ValueError("mate array is not symmetric")
+        raise ValueError("mate array is not a symmetric matching")
+    # Coarse ids follow the smaller vertex of each pair (the leader).
+    leader = (mate < 0) | (mate > ids)
+    nc = int(np.count_nonzero(leader))
     cmap = np.empty(g.n, dtype=np.int64)
-    nc = 0
-    mate_l = mate.tolist()
-    for v in range(g.n):
-        mv = mate_l[v]
-        if mv < 0 or mv > v:
-            cmap[v] = nc
-            nc += 1
-        else:
-            cmap[v] = cmap[mv]
+    cmap[leader] = np.arange(nc)
+    cmap[~leader] = cmap[mate[~leader]]
     coarse_c = np.bincount(cmap, weights=g.vertex_c, minlength=nc)
     cu = cmap[g.edge_u]
     cv = cmap[g.edge_v]
     keep = cu != cv
-    coarse = Graph.from_edges(nc, zip(cu[keep].tolist(), cv[keep].tolist()),
+    coarse = Graph.from_edges(nc, np.column_stack((cu[keep], cv[keep])),
                               edge_weights=g.edge_w[keep],
                               vertex_weights=coarse_c.astype(np.int64))
     return coarse, cmap
@@ -316,9 +313,7 @@ def partition_multilevel(g: Graph, cfg: PartitionConfig) -> Partition:
                             rng.getrandbits(64))
     p = fm_refine(cur, p, cfg.epsilon, cfg.max_fm_passes)
     for fine, cmap in reversed(levels):
-        coarse_block = p.block
-        fine_block = [coarse_block[x] for x in cmap.tolist()]
-        p = Partition.from_blocks(fine, fine_block)
+        p = Partition.from_blocks(fine, p.block_array()[cmap])
         p = fm_refine(fine, p, cfg.epsilon, cfg.max_fm_passes)
     if not is_balanced(g, p, cfg.epsilon):
         logger.warning("final partition violates the balance constraint "

@@ -1,4 +1,4 @@
-"""Two-block vertex partition with maintained balance and boundary state."""
+"""Two-block vertex partition with maintained block weights."""
 
 from __future__ import annotations
 
@@ -12,16 +12,15 @@ from .graph import Graph
 
 @dataclass
 class Partition:
-    """Block assignment plus derived state kept consistent by the refiners.
+    """Block assignment plus the two block weights the refiners maintain.
 
-    external_degree[v] is the number of v's neighbors in the other block;
-    v is a boundary vertex exactly when it is positive. Everything here can
-    be recomputed from `block` alone via :meth:`from_blocks`.
+    block[v] is 0 or 1. block_weight can be recomputed from `block` alone
+    via :meth:`from_blocks`; per-vertex boundary state is not stored here,
+    since only MCV postprocessing keeps any and it builds its own.
     """
 
     block: list[int]
     block_weight: list[int]
-    external_degree: list[int]
 
     @classmethod
     def from_blocks(cls, g: Graph, block) -> "Partition":
@@ -31,14 +30,10 @@ class Partition:
         if blk.size and (blk.min() < 0 or blk.max() > 1):
             raise ValueError("block ids must be 0 or 1")
         weights = [int(g.vertex_c[blk == 0].sum()), int(g.vertex_c[blk == 1].sum())]
-        cross = blk[g.edge_u] != blk[g.edge_v]
-        ext = (np.bincount(g.edge_u[cross], minlength=g.n)
-               + np.bincount(g.edge_v[cross], minlength=g.n))
-        return cls(blk.tolist(), weights, ext.tolist())
+        return cls(blk.tolist(), weights)
 
     def copy(self) -> "Partition":
-        return Partition(self.block[:], self.block_weight[:],
-                         self.external_degree[:])
+        return Partition(self.block[:], self.block_weight[:])
 
     def block_array(self) -> np.ndarray:
         return np.asarray(self.block, dtype=np.int64)

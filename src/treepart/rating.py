@@ -28,7 +28,7 @@ def cond_all_edges(g: Graph, t: RootedTree,
     non_tree = np.flatnonzero(np.isnan(out))
     if non_tree.size == 0:
         return out
-    per_vertex = out[np.asarray(t.parent_edge, dtype=np.int64)]
+    per_vertex = out[t.parent_edge]
     out[non_tree] = tree_paths(t, g.edge_u[non_tree], g.edge_v[non_tree],
                                per_vertex).minimum
     return out

@@ -10,9 +10,10 @@ import numpy as np
 from .graph import Graph
 
 
-@dataclass
+@dataclass(eq=False)
 class RootedTree:
-    """Rooted spanning tree with preorder labels.
+    """Rooted spanning tree with preorder labels; every per-vertex field is
+    an int64 array of length n.
 
     parent[root] == root and parent_edge[root] == -1. label is a preorder
     numbering, so v is a descendant of u (u included) exactly when
@@ -21,20 +22,19 @@ class RootedTree:
     """
 
     root: int
-    parent: list[int]
-    parent_edge: list[int]
-    depth: list[int]
-    label: list[int]
-    max_label: list[int]
-    children: list[list[int]]
-    preorder: list[int]
+    parent: np.ndarray
+    parent_edge: np.ndarray
+    depth: np.ndarray
+    label: np.ndarray
+    max_label: np.ndarray
+    preorder: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.parent)
 
     def tree_edge_ids(self) -> list[int]:
-        return sorted(e for e in self.parent_edge if e >= 0)
+        return np.sort(self.parent_edge[self.parent_edge >= 0]).tolist()
 
 
 class UnionFind:
@@ -113,7 +113,6 @@ def root_and_label(g: Graph, tree_edges: Iterable[int], root: int) -> RootedTree
     parent_edge = [-1] * n
     depth = [0] * n
     label = [-1] * n
-    children: list[list[int]] = [[] for _ in range(n)]
     preorder: list[int] = []
 
     parent[root] = root
@@ -128,20 +127,17 @@ def root_and_label(g: Graph, tree_edges: Iterable[int], root: int) -> RootedTree
                 parent[v] = u
                 parent_edge[v] = e
                 depth[v] = depth[u] + 1
-                children[u].append(v)
                 stack.append(v)
     if len(preorder) != n:
         raise ValueError("tree_edges do not span the graph")
-    for u in range(n):
-        children[u].sort()
 
     max_label = label[:]
     for v in reversed(preorder):
         p = parent[v]
         if p != v and max_label[v] > max_label[p]:
             max_label[p] = max_label[v]
-    return RootedTree(root, parent, parent_edge, depth, label, max_label,
-                      children, preorder)
+    return RootedTree(root, *(np.asarray(x, dtype=np.int64) for x in (
+        parent, parent_edge, depth, label, max_label, preorder)))
 
 
 def lca(t: RootedTree, u: int, v: int) -> int:
@@ -181,8 +177,7 @@ def tree_paths(t: RootedTree, a, b, values=None) -> TreePaths:
     takes 2L, so a batch of q pairs costs O((n + q) log n). values[v] is the
     value of v's parent edge; the root's entry is ignored.
     """
-    parent = np.asarray(t.parent, dtype=np.int64)
-    depth = np.asarray(t.depth, dtype=np.int64)
+    parent, depth = t.parent, t.depth
     a = np.array(a, dtype=np.int64)
     b = np.array(b, dtype=np.int64)
     levels = max(1, int(depth.max()).bit_length())

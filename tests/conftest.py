@@ -81,6 +81,12 @@ def random_balanced_blocks(g: Graph, rng: random.Random) -> list[int] | None:
     return block
 
 
+def external_degrees(g: Graph, block) -> list[int]:
+    """Per-vertex count of neighbors in the other block, by adjacency scan."""
+    return [sum(block[t] != block[v] for t in g.neighbors(v))
+            for v in range(g.n)]
+
+
 def cut_corpus(count: int = 1000, seed: int = 20240501):
     """Seeded random connected graphs with random BFT spanning trees."""
     rng = random.Random(seed)
@@ -104,15 +110,19 @@ def postorder_cut_aggregates(g: Graph, t: RootedTree):
     n = g.n
     off = g.adj_off_list
     nbr = g.adj_nbr_list
-    eid = g.adj_eid_list
-    w = g.edge_w_list
+    eid = g.adj_eid.tolist()
+    w = g.edge_w.tolist()
     wdeg = g.weighted_degree.tolist()
     total = g.total_volume
-    label, max_label = t.label, t.max_label
-    parent, depth, children = t.parent, t.depth, t.children
+    label, max_label = t.label.tolist(), t.max_label.tolist()
+    parent, depth = t.parent.tolist(), t.depth.tolist()
+    has_child = bytearray(n)
+    for v in range(n):
+        if parent[v] != v:
+            has_child[parent[v]] = 1
 
     is_tree = bytearray(g.m)
-    for e in t.parent_edge:
+    for e in t.parent_edge.tolist():
         if e >= 0:
             is_tree[e] = 1
 
@@ -130,9 +140,9 @@ def postorder_cut_aggregates(g: Graph, t: RootedTree):
     intra = [0.0] * n
     inter = [0.0] * n
     cond = np.full(g.m, np.nan)
-    for u in reversed(t.preorder):
+    for u in reversed(t.preorder.tolist()):
         pe = -1
-        if not children[u]:
+        if not has_child[u]:
             # Leaf: every incident non-tree edge leaves the subtree.
             sub[u] = wdeg[u]
             for i in range(off[u], off[u + 1]):
@@ -161,3 +171,36 @@ def postorder_cut_aggregates(g: Graph, t: RootedTree):
         if pe >= 0:
             cond[pe] = (inter[u] + w[pe]) / min(sub[u], total - sub[u])
     return cond, np.asarray(sub), np.asarray(intra), np.asarray(inter)
+
+
+def brute_force_conductance(g: Graph, t: RootedTree, edge_id: int) -> float:
+    """Oracle: delete the tree edge, two-color, and apply the definition.
+
+    Independent of the array pass in treepart.fundcut; used to validate it.
+    """
+    a = int(g.edge_u[edge_id])
+    b = int(g.edge_v[edge_id])
+    if t.parent_edge[a] != edge_id and t.parent_edge[b] != edge_id:
+        raise ValueError("edge is not a tree edge")
+    tadj: list[list[int]] = [[] for _ in range(g.n)]
+    for v, e in enumerate(t.parent_edge.tolist()):
+        if e >= 0 and e != edge_id:
+            p = int(t.parent[v])
+            tadj[v].append(p)
+            tadj[p].append(v)
+    side = bytearray(g.n)
+    side[a] = 1
+    vol_a = float(g.weighted_degree[a])
+    queue = [a]
+    while queue:
+        u = queue.pop()
+        for v in tadj[u]:
+            if not side[v]:
+                side[v] = 1
+                vol_a += float(g.weighted_degree[v])
+                queue.append(v)
+    cut = 0.0
+    for e in range(g.m):
+        if side[g.edge_u[e]] != side[g.edge_v[e]]:
+            cut += float(g.edge_w[e])
+    return cut / min(vol_a, g.total_volume - vol_a)

@@ -99,6 +99,16 @@ def test_disconnected_graph_reported(tmp_path):
     assert "ERROR" in emit_table(report)
 
 
+def test_duplicate_graph_names_rejected(tmp_path):
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "x.graph")
+        save_metis(generate_scale_free(40, 2, 1), paths[-1])
+    with pytest.raises(ValueError, match="duplicate graph names: x"):
+        run_experiment([str(p) for p in paths], [PartitionConfig()], 1, 0)
+
+
 def test_best_blocks_are_recorded(tmp_path):
     report = make_report(tmp_path)
     blocks = report.best_blocks[("g0", "excond6")]

@@ -1,3 +1,5 @@
+import hashlib
+
 from treepart import generate_scale_free, save_metis
 from treepart.cli import main
 
@@ -53,6 +55,38 @@ def test_partition_out_multiple_combos(tmp_path):
     assert rc == 0
     assert (tmp_path / "best.part.g.excond5").exists()
     assert (tmp_path / "best.part.g.exp2").exists()
+
+
+def test_seeded_output_pinned(tmp_path):
+    # Acceptance criterion 8's invocation. The expected CSV and partition
+    # digest were recorded before the coarsening and postprocessing code
+    # moved to array form; a change that moves them changes seeded output.
+    g = generate_scale_free(1500, 3, 77)
+    gpath = tmp_path / "det.graph"
+    save_metis(g, gpath)
+    csv_path = tmp_path / "det.csv"
+    part_path = tmp_path / "det.part"
+    rc = main(["--graph", str(gpath), "--runs", "3", "--trees", "8",
+               "--seed", "11", "--no-timing", "--output", str(csv_path),
+               "--partition-out", str(part_path)])
+    assert rc == 0
+    assert csv_path.read_text() == (
+        "graph,config,minMCV,avgMCV,minCut,avgCut,avgTime,q_minMCV,"
+        "q_avgMCV,q_minCut,q_avgCut,q_avgTime\n"
+        "det,excond8,462,468.333333333,1059,1065.33333333,,1,1,1,1,\n"
+        "GEOMEAN,excond8,,,,,,1,1,1,1,\n")
+    assert hashlib.sha256(part_path.read_bytes()).hexdigest() == (
+        "8cbff38f7136f7fe179ec59a9ebe52ef580647312d2c4acbe8ad725dcce71802")
+
+
+def test_duplicate_graph_names_fail(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a = write_graph(tmp_path / "a", name="x.graph", n=40)
+    b = write_graph(tmp_path / "b", name="x.graph", n=40)
+    rc = main(["--graph", a, "--graph", b, "--runs", "1"])
+    assert rc == 1
+    assert "duplicate graph names: x" in capsys.readouterr().err
 
 
 def test_missing_graph_fails(tmp_path, capsys):

@@ -117,6 +117,18 @@ def test_non_positive_or_non_finite_edge_weight_rejected(weight):
         parse_metis(f"2 1 1\n2 {weight}\n1 {weight}\n")
 
 
+def test_underscore_in_neighbor_id_rejected():
+    # int() would read "0_2" as 2, i.e. the edge {1, 2}.
+    with pytest.raises(MetisFormatError, match="invalid integer"):
+        parse_metis("2 1\n0_2\n1\n")
+
+
+def test_underscore_in_weight_rejected():
+    # float() would read "1_0" as 10.
+    with pytest.raises(MetisFormatError, match="invalid numeric"):
+        parse_metis("2 1 1\n2 1_0\n1 1_0\n")
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf", "1.5", "0"])
 def test_invalid_vertex_weight_rejected(weight):
     with pytest.raises(MetisFormatError, match="vertex weight"):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from treepart import (Graph, algebraic_distance, all_fundamental_conductances,
-                      brute_force_conductance, cond_all_edges, ex_alg,
-                      ex_cond, expansion_star2, root_and_label, sample_bft)
-from tests.conftest import random_connected_graph
+                      cond_all_edges, ex_alg, ex_cond, expansion_star2,
+                      root_and_label, sample_bft)
+from tests.conftest import brute_force_conductance, random_connected_graph
 
 
 def brute_cond(g, t):

@@ -76,8 +76,8 @@ class TestRootAndLabel:
         assert t.label[1] == 0
         assert t.label[0] == 1  # smaller-id child labeled first
         assert t.label[2] == 2
-        assert t.children[1] == [0, 2]
-        assert t.depth == [1, 0, 1]
+        assert t.parent.tolist() == [1, 1, 1]
+        assert t.depth.tolist() == [1, 0, 1]
 
     def test_root_dominates_all_labels(self):
         rng = random.Random(12)
@@ -90,8 +90,9 @@ class TestRootAndLabel:
         rng = random.Random(14)
         g = random_connected_graph(rng)
         t = sample_bft(g, 6)
+        parents = {int(t.parent[v]) for v in range(g.n) if v != t.root}
         for v in range(g.n):
-            if not t.children[v]:
+            if v not in parents:
                 assert t.max_label[v] == t.label[v]
 
     def test_descendant_interval_characterization(self):
@@ -199,5 +200,5 @@ def test_tree_paths_match_scalar_walk(query):
     assert got.minimum.tolist() == [walk_path_min(t, u, v, values)
                                     for u, v in pairs]
     assert tree_paths(t, a, b).minimum is None
-    levels = max(1, max(t.depth).bit_length())
+    levels = max(1, int(t.depth.max()).bit_length())
     assert got.steps == t.n * (levels - 1) + 2 * levels * len(pairs)
