@@ -72,7 +72,9 @@ class Graph:
         if np.any(lo == hi):
             raise ValueError("self-loops are not allowed")
 
-        order = np.lexsort((hi, lo))
+        # One stable sort on the composite key lo*n + hi: it fits in int64
+        # for n < 3e9 and gives lexsort's (lo, hi) order.
+        order = np.argsort(lo * n + hi, kind="stable")
         lo, hi, w = lo[order], hi[order], w[order]
         if len(lo):
             new_edge = np.empty(len(lo), dtype=bool)
@@ -101,7 +103,7 @@ class Graph:
         ends = np.concatenate([self.edge_u, self.edge_v])
         other = np.concatenate([self.edge_v, self.edge_u])
         eids = np.concatenate([np.arange(self.m), np.arange(self.m)])
-        order = np.lexsort((other, ends))
+        order = np.argsort(ends * self.n + other, kind="stable")  # n < 3e9
         nbr = other[order]
         eid = eids[order]
         counts = np.bincount(ends, minlength=self.n)
@@ -142,6 +144,11 @@ class Graph:
         return float(2.0 * self.edge_w.sum())
 
     @cached_property
+    def is_connected(self) -> bool:
+        """True iff the graph has a single connected component."""
+        return len(connected_components(self)) == 1
+
+    @cached_property
     def edge_ids(self) -> dict[tuple[int, int], int]:
         """Map from (min endpoint, max endpoint) to canonical edge id."""
         return {(int(u), int(v)): e
@@ -165,8 +172,8 @@ def volume(g: Graph, vertices: Iterable[int]) -> float:
 
 
 def check_connected(g: Graph) -> bool:
-    """True iff the graph has a single connected component."""
-    return len(connected_components(g)) == 1
+    """True iff the graph has a single connected component (cached on g)."""
+    return g.is_connected
 
 
 def connected_components(g: Graph) -> list[list[int]]:

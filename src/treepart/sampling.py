@@ -1,20 +1,52 @@
 """Random breadth-first-traversal spanning trees and per-edge contrast.
 
-Each sampled tree picks a root uniformly at random and runs a plain BFS,
-but processes the edges incident on each vertex in an independent random
-order. The contrast of an edge is the smaller of the two per-orientation
-counts of trees containing it, accumulated over a whole tree collection.
+Each sampled tree picks a root uniformly at random and runs a plain BFS
+that scans the neighbors of each popped vertex in an independent random
+order: every adjacency entry gets a uniform key from the tree's own
+generator, and a vertex's neighbors are scanned in ascending key order.
+The contrast of an edge is the smaller of the two per-orientation counts of
+trees containing it, accumulated over a whole tree collection.
+
+The trees of a collection grow in lockstep. One level-synchronous sweep
+advances W trees together over flattened (tree, vertex) slots, so one BFS
+level of all W trees costs a fixed number of numpy calls, not one set per
+tree. Each tree still draws its root and keys from its own seed, so every
+tree is the one a sequential BFS with those keys builds. On each level:
+
+- An undiscovered slot is claimed by the first adjacency entry, in frontier
+  order, that reaches it: the neighbor a sequential BFS pops first. The
+  graph is simple, so the candidates for one slot come from distinct
+  frontier positions, and `np.minimum.at` over the entries' positions finds
+  the first one in O(entries).
+- A sequential BFS queues the newly reached vertices by (queue position of
+  the parent, key of the entry). The sweep orders each tree's new vertices
+  by the float claim `rank + key`, rank being the parent's position in its
+  tree's frontier, and breaks exact ties by vertex id. That is the same
+  order unless two keys of one rank, or a key and the next rank, round to
+  one float at the magnitude of `rank`. Neither rule depends on W, so a
+  tree comes out the same whichever sweep it shares.
+
+W = max(1, min(T, SWEEP_CAP // 2m)) for T trees. A sweep holds W*2m float
+keys and W*n <= W*(m + 1) per-slot integers, and one level of one tree
+expands at most 2m entries, so the cap bounds the keys, the per-slot state
+and every per-level temporary together. A graph with more than
+SWEEP_CAP / 2 edges is swept one tree at a time.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .graph import Graph
 from .spantree import RootedTree, root_and_label
+
+# Adjacency entries in flight per sweep: 2^17 float64 keys are 1 MiB.
+SWEEP_CAP = 1 << 17
+_UNSEEN = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -31,72 +63,75 @@ class DirectedEdgeCounts:
     max_closer: np.ndarray
 
 
-def _bft_arrays(g: Graph, seed: int):
-    """BFS tree with randomized root and neighbor order; parent arrays only.
+def _sweep(g: Graph, seeds: Sequence[int]):
+    """Grow one random BFT tree per seed, all in one level-synchronous sweep.
 
-    Each adjacency entry gets an independent uniform sort key, which orders
-    every vertex's neighbor list by a fresh random permutation. The BFS is
-    run level-synchronously: an undiscovered vertex is claimed by the
-    frontier entry minimizing (queue position of the source, entry key),
-    which reproduces a sequential BFS that scans each popped vertex's
-    neighbors in key order. The next frontier is queued by the same keys.
+    Each tree draws its root and then 2m entry keys (none when n = 1) from
+    `np.random.default_rng(seed)`. Returns (roots, parent, parent_edge),
+    the last two of shape (len(seeds), n); a root is its own parent and has
+    parent edge -1. Raises ValueError if the graph is not connected.
     """
-    n = g.n
-    rng = np.random.default_rng(seed)
-    root = int(rng.integers(n))
-    parent = np.full(n, -1, dtype=np.int64)
-    parent_edge = np.full(n, -1, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    parent[root] = root
-    if n == 1:
-        return root, parent, parent_edge, depth
-    keys = rng.random(2 * g.m)
-    off = g.adj_off
-    visited = np.zeros(n, dtype=bool)
-    visited[root] = True
-    frontier = np.asarray([root], dtype=np.int64)
-    reached = 1
-    d = 0
-    while frontier.size:
-        starts = off[frontier]
-        counts = off[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        shift = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        entries = np.repeat(starts - shift, counts) + np.arange(total)
-        tgt = g.adj_nbr[entries]
-        new = ~visited[tgt]
-        if not new.any():
-            break
-        tgt = tgt[new]
-        entries = entries[new]
-        rank = np.repeat(np.arange(frontier.size), counts)[new]
-        claim = rank + keys[entries]
-        order = np.lexsort((claim, tgt))
-        tgt_sorted = tgt[order]
-        first = np.empty(len(order), dtype=bool)
-        first[0] = True
-        first[1:] = tgt_sorted[1:] != tgt_sorted[:-1]
-        sel = order[first]
-        chosen = tgt[sel]
-        parent[chosen] = frontier[rank[sel]]
-        parent_edge[chosen] = g.adj_eid[entries[sel]]
-        d += 1
-        depth[chosen] = d
-        visited[chosen] = True
-        reached += chosen.size
-        frontier = chosen[np.argsort(claim[sel], kind="stable")]
-    if reached != n:
+    n, w, two_m = g.n, len(seeds), 2 * g.m
+    roots = np.empty(w, dtype=np.int64)
+    keys = np.empty(w * two_m)
+    for t, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        roots[t] = rng.integers(n)
+        if n > 1:
+            rng.random(out=keys[t * two_m:(t + 1) * two_m])
+    # Slot t*n + v is vertex v of tree t, and key t*2m + i is adjacency
+    # entry i of tree t. Per slot, `via` holds _UNSEEN until the slot's
+    # level, then on that level the position of its first candidate entry,
+    # and from then on the key index of the entry that claimed it.
+    tree_col = np.arange(w, dtype=np.int64)[:, None]
+    off, deg = g.adj_off, np.diff(g.adj_off)
+    via = np.full(w * n, _UNSEEN, dtype=np.int64)
+    # The frontier, grouped by tree, each tree's part in queue order.
+    f_tree = tree_col.ravel()
+    f_vert = roots
+    t_start = f_tree  # where each tree's part begins
+    via[f_tree * n + roots] = -1
+    reached = w
+    while f_vert.size:
+        counts = deg[f_vert]
+        ends = counts.cumsum()
+        # Adjacency entry and target slot of every expansion, in frontier
+        # order; `pos` is the position in that order.
+        entry = (np.arange(ends[-1])
+                 + (off[f_vert] + counts - ends).repeat(counts))
+        slot = (f_tree * n).repeat(counts) + g.adj_nbr[entry]
+        pos = (via[slot] == _UNSEEN).nonzero()[0]
+        slot = slot[pos]
+        np.minimum.at(via, slot, pos)
+        won = via[slot] == pos
+        pos, slot = pos[won], slot[won]
+        src = ends.searchsorted(pos, side="right")
+        tree = f_tree[src]
+        key = entry[pos] + tree * two_m
+        via[slot] = key
+        claim = (src - t_start[tree]) + keys[key]
+        order = np.lexsort((slot, claim, tree))
+        f_tree = tree[order]
+        f_vert = slot[order] - f_tree * n
+        t_start = f_tree.searchsorted(tree_col.ravel())
+        reached += f_vert.size
+    if reached != w * n:
         raise ValueError("graph is not connected")
-    return root, parent, parent_edge, depth
+    del keys  # freed before the per-tree results are built
+    entry = via.reshape(w, n) - tree_col * two_m
+    in_tree = entry >= 0
+    parent_edge = np.full((w, n), -1, dtype=np.int64)
+    parent_edge[in_tree] = e = g.adj_eid[entry[in_tree]]
+    parent = np.repeat(roots[:, None], n, axis=1)
+    parent[in_tree] = g.edge_u[e] + g.edge_v[e] - in_tree.nonzero()[1]
+    return roots, parent, parent_edge
 
 
 def sample_bft(g: Graph, seed: int) -> RootedTree:
     """Sample one random BFT spanning tree, deterministic per seed."""
-    root, _, parent_edge, _ = _bft_arrays(g, seed)
-    edges = parent_edge[parent_edge >= 0].tolist()
-    return root_and_label(g, edges, root)
+    roots, _, parent_edge = _sweep(g, [seed])
+    edges = parent_edge[0][parent_edge[0] >= 0].tolist()
+    return root_and_label(g, edges, int(roots[0]))
 
 
 def subseeds(seed: int, count: int) -> list[int]:
@@ -105,23 +140,31 @@ def subseeds(seed: int, count: int) -> list[int]:
     return [master.getrandbits(64) for _ in range(count)]
 
 
+def _sweep_counts(g: Graph, seeds: Sequence[int]) -> np.ndarray:
+    """Orientation counts of one sweep's trees: min_closer in [:m],
+    max_closer in [m:]. Parent-edge ids repeat across trees, so they are
+    counted with one bincount, not with indexed increments."""
+    _, parent, parent_edge = _sweep(g, seeds)
+    index = parent_edge + np.where(parent < np.arange(g.n), 0, g.m)
+    return np.bincount(index[parent_edge >= 0], minlength=2 * g.m)
+
+
 def directed_edge_counts(g: Graph, trees: int, seed: int) -> DirectedEdgeCounts:
-    """Accumulate orientation counts over `trees` sampled BFT trees."""
+    """Accumulate orientation counts over `trees` sampled BFT trees.
+
+    Tree i is `sample_bft(g, subseeds(seed, trees)[i])`. The trees are
+    grown in sweeps of max(1, min(trees, SWEEP_CAP // 2m)) trees each (see
+    the module docstring); the counts are taken once per sweep from its
+    parent arrays. Raises ValueError if the graph is not connected.
+    """
     if trees < 1:
         raise ValueError("need at least one tree")
-    min_closer = np.zeros(g.m, dtype=np.int64)
-    max_closer = np.zeros(g.m, dtype=np.int64)
-    child_ids = np.arange(g.n, dtype=np.int64)
-    for sub in subseeds(seed, trees):
-        _, pa, pe, _ = _bft_arrays(g, sub)
-        mask = pe >= 0
-        e = pe[mask]
-        parent_is_min = pa[mask] < child_ids[mask]
-        # Parent-edge ids are distinct within one tree, so plain indexed
-        # increments are safe.
-        min_closer[e[parent_is_min]] += 1
-        max_closer[e[~parent_is_min]] += 1
-    return DirectedEdgeCounts(trees, min_closer, max_closer)
+    seeds = subseeds(seed, trees)
+    width = max(1, min(trees, SWEEP_CAP // max(2 * g.m, 1)))
+    counts = np.zeros(2 * g.m, dtype=np.int64)
+    for lo in range(0, trees, width):
+        counts += _sweep_counts(g, seeds[lo:lo + width])
+    return DirectedEdgeCounts(trees, counts[:g.m], counts[g.m:])
 
 
 def contrast(g: Graph, trees: int, seed: int) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -96,6 +97,112 @@ def cut_corpus(count: int = 1000, seed: int = 20240501):
         t = sample_bft(g, rng.randrange(2 ** 32))
         corpus.append((g, t))
     return corpus
+
+
+def level_sync_bft(g: Graph, seed: int):
+    """Oracle: one BFT tree grown alone, level by level.
+
+    Draws the root and 2m entry keys from `np.random.default_rng(seed)`
+    like treepart.sampling. Every new vertex is claimed by the frontier
+    entry minimizing (frontier position of the source, entry key), found by
+    a lexsort over all new entries, and the next frontier is ordered by
+    the claim `position + key`, ties by vertex id.
+
+    Returns (root, parent, parent_edge, depth) as arrays; the root is its
+    own parent. Raises ValueError if the graph is not connected.
+    """
+    n = g.n
+    rng = np.random.default_rng(seed)
+    root = int(rng.integers(n))
+    parent = np.full(n, -1, dtype=np.int64)
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    depth = np.zeros(n, dtype=np.int64)
+    parent[root] = root
+    if n == 1:
+        return root, parent, parent_edge, depth
+    keys = rng.random(2 * g.m)
+    off = g.adj_off
+    visited = np.zeros(n, dtype=bool)
+    visited[root] = True
+    frontier = np.asarray([root], dtype=np.int64)
+    reached = 1
+    d = 0
+    while frontier.size:
+        starts = off[frontier]
+        counts = off[frontier + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            break
+        shift = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        entries = np.repeat(starts - shift, counts) + np.arange(total)
+        tgt = g.adj_nbr[entries]
+        new = ~visited[tgt]
+        if not new.any():
+            break
+        tgt = tgt[new]
+        entries = entries[new]
+        rank = np.repeat(np.arange(frontier.size), counts)[new]
+        claim = rank + keys[entries]
+        order = np.lexsort((claim, tgt))
+        tgt_sorted = tgt[order]
+        first = np.empty(len(order), dtype=bool)
+        first[0] = True
+        first[1:] = tgt_sorted[1:] != tgt_sorted[:-1]
+        sel = order[first]
+        chosen = tgt[sel]
+        parent[chosen] = frontier[rank[sel]]
+        parent_edge[chosen] = g.adj_eid[entries[sel]]
+        d += 1
+        depth[chosen] = d
+        visited[chosen] = True
+        reached += chosen.size
+        frontier = chosen[np.argsort(claim[sel], kind="stable")]
+    if reached != n:
+        raise ValueError("graph is not connected")
+    return root, parent, parent_edge, depth
+
+
+def queue_bft(g: Graph, seed: int):
+    """Oracle: the sampling definition as a plain FIFO-queue BFS.
+
+    Same root and keys as `level_sync_bft`; each popped vertex scans its
+    adjacency entries in ascending key order and claims every neighbor not
+    yet seen. Returns (root, parent, parent_edge, depth) as lists.
+    """
+    n = g.n
+    rng = np.random.default_rng(seed)
+    root = int(rng.integers(n))
+    keys = rng.random(2 * g.m).tolist() if n > 1 else []
+    off, nbr, eid = g.adj_off_list, g.adj_nbr_list, g.adj_eid.tolist()
+    parent, parent_edge, depth = [-1] * n, [-1] * n, [0] * n
+    parent[root] = root
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for i in sorted(range(off[u], off[u + 1]), key=keys.__getitem__):
+            v = nbr[i]
+            if parent[v] < 0:
+                parent[v], parent_edge[v], depth[v] = u, eid[i], depth[u] + 1
+                queue.append(v)
+    if min(parent) < 0:
+        raise ValueError("graph is not connected")
+    return root, parent, parent_edge, depth
+
+
+def orientation_counts(g: Graph, tree_list):
+    """(min_closer, max_closer) of (root, parent, parent_edge, ...) trees,
+    counted edge by edge."""
+    min_c = np.zeros(g.m, dtype=np.int64)
+    max_c = np.zeros(g.m, dtype=np.int64)
+    for _, parent, parent_edge, *_ in tree_list:
+        for v in range(g.n):
+            e = int(parent_edge[v])
+            if e >= 0:
+                if parent[v] < v:
+                    min_c[e] += 1
+                else:
+                    max_c[e] += 1
+    return min_c, max_c
 
 
 def postorder_cut_aggregates(g: Graph, t: RootedTree):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treepart import Graph, check_connected, largest_component, volume
+from treepart import graph as graph_module
 from tests.conftest import random_connected_graph
 
 
@@ -42,6 +43,32 @@ class TestConstruction:
             for u, v, e in pairs:
                 assert (v, u, e) in pairs
                 assert {u, v} == {int(g.edge_u[e]), int(g.edge_v[e])}
+
+    def test_sorts_match_two_key_lexsort(self):
+        # Edges, merged weights and adjacency come out in the order of a
+        # stable lexsort by (min, max) endpoint and by (end, other end).
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 17, 400):
+            pairs = rng.integers(0, n, size=(2000, 2))
+            pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+            w = rng.random(len(pairs)) * 10.0 ** rng.integers(-8, 8,
+                                                              len(pairs))
+            g = Graph.from_edges(n, pairs, edge_weights=w)
+            lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+            order = np.lexsort((hi, lo))
+            lo, hi = lo[order], hi[order]
+            starts = np.flatnonzero(np.r_[True, (lo[1:] != lo[:-1])
+                                          | (hi[1:] != hi[:-1])])
+            assert g.edge_u.tolist() == lo[starts].tolist()
+            assert g.edge_v.tolist() == hi[starts].tolist()
+            assert g.edge_w.tolist() == \
+                np.add.reduceat(w[order], starts).tolist()
+            ends = np.r_[g.edge_u, g.edge_v]
+            other = np.r_[g.edge_v, g.edge_u]
+            order = np.lexsort((other, ends))
+            assert g.adj_nbr.tolist() == other[order].tolist()
+            assert g.adj_eid.tolist() == \
+                np.r_[np.arange(g.m), np.arange(g.m)][order].tolist()
 
 
 class TestVolume:
@@ -83,6 +110,17 @@ class TestConnectivity:
     def test_single_vertex(self):
         g = Graph.from_edges(1, [])
         assert check_connected(g)
+
+    def test_answer_cached_on_graph(self, monkeypatch):
+        calls = []
+        components = graph_module.connected_components
+        monkeypatch.setattr(graph_module, "connected_components",
+                            lambda g: calls.append(g) or components(g))
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        assert not check_connected(g)
+        assert not check_connected(g)
+        assert check_connected(Graph.from_edges(2, [(0, 1)]))
+        assert len(calls) == 2
 
     def test_largest_component_extraction(self):
         g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)],
