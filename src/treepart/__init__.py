@@ -10,8 +10,7 @@ communication volume (MCV) postprocessing.
 
 from .bench import (ExperimentReport, RunRecord, config_label, emit_csv,
                     emit_table, geometric_mean, run_experiment, run_single)
-from .fundcut import (CutAttributes, all_fundamental_conductances,
-                      cut_attributes)
+from .fundcut import all_fundamental_conductances
 from .generators import generate_scale_free
 from .graph import (Graph, check_connected, connected_components,
                     largest_component, volume)
@@ -29,13 +28,13 @@ from .sampling import (DirectedEdgeCounts, contrast, directed_edge_counts,
 from .spantree import RootedTree, lca, minimum_spanning_tree, root_and_label
 
 __all__ = [
-    "CutAttributes", "DirectedEdgeCounts", "ExperimentReport", "Graph",
+    "DirectedEdgeCounts", "ExperimentReport", "Graph",
     "MetisFormatError", "Partition", "PartitionConfig", "RATINGS",
     "RootedTree", "RunRecord", "algebraic_distance",
     "all_fundamental_conductances", "balance_cap",
     "check_connected", "comm_volumes", "cond_all_edges", "config_label",
     "connected_components", "contract", "contrast", "compute_rating",
-    "cut_attributes", "directed_edge_counts", "edge_cut", "emit_csv",
+    "directed_edge_counts", "edge_cut", "emit_csv",
     "emit_table", "ex_alg", "ex_cond", "expansion_star2", "fm_refine",
     "generate_scale_free", "geometric_mean", "greedy_matching",
     "initial_bipartition", "is_balanced", "largest_component", "lca",

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 
 import numpy as np
 import pytest
 
-from treepart import Graph, RootedTree, sample_bft
+from treepart import Graph, MetisFormatError, RootedTree, sample_bft
 
 
 @pytest.fixture
@@ -311,3 +312,107 @@ def brute_force_conductance(g: Graph, t: RootedTree, edge_id: int) -> float:
         if side[g.edge_u[e]] != side[g.edge_v[e]]:
             cut += float(g.edge_w[e])
     return cut / min(vol_a, g.total_volume - vol_a)
+
+
+def scalar_parse_metis(text: str | bytes) -> Graph:
+    """Oracle: the METIS reader one line and one entry at a time.
+
+    Each ordered pair (u, v) accumulates its weight in file order and its
+    entry count in a dict; every pair must meet its reverse. Raises
+    MetisFormatError with the first fault in file order. Independent of the
+    array pass in treepart.metis_io, whose results and messages it must
+    reproduce.
+    """
+    def read(kind, token):
+        try:
+            if "_" not in token:
+                return kind(token)
+        except ValueError:
+            pass
+        name = "integer" if kind is int else "numeric"
+        raise MetisFormatError(f"invalid {name} token {token!r}")
+
+    if not text.isascii():
+        raise MetisFormatError("input is not ASCII")
+    if isinstance(text, bytes):
+        text = text.decode("ascii")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    lines = [ln for ln in lines if not ln.startswith("%")]
+    if not lines or not lines[0].split():
+        raise MetisFormatError("missing header line")
+
+    header = lines[0].split()
+    if len(header) not in (2, 3):
+        raise MetisFormatError(f"header must be 'n m [fmt]', got {header!r}")
+    n, m_header = read(int, header[0]), read(int, header[1])
+    if n < 1 or m_header < 0:
+        raise MetisFormatError(f"header needs n >= 1 and m >= 0, got {header!r}")
+    fmt = header[2] if len(header) == 3 else "0"
+    if fmt not in ("0", "00", "1", "01", "10", "11"):
+        raise MetisFormatError(f"unsupported fmt flag {fmt!r}")
+    has_vweights = fmt in ("10", "11")
+    has_eweights = fmt in ("1", "01", "11")
+
+    body = lines[1:]
+    if len(body) < n:
+        raise MetisFormatError(f"expected {n} vertex lines, found {len(body)}")
+    if any(ln.strip() for ln in body[n:]):
+        raise MetisFormatError(f"more than the {n} vertex lines")
+
+    vertex_c = np.ones(n, dtype=np.int64)
+    directed: dict[tuple[int, int], list[float]] = {}
+    entries = 0
+    for u in range(n):
+        tokens = body[u].split()
+        pos = 0
+        if has_vweights:
+            if not tokens:
+                raise MetisFormatError(f"vertex {u + 1}: missing vertex weight")
+            cw = read(float, tokens[0])
+            if cw <= 0 or not cw.is_integer():
+                raise MetisFormatError(
+                    f"vertex {u + 1}: vertex weight must be a positive integer")
+            if cw >= 2 ** 53:
+                raise MetisFormatError(
+                    f"vertex {u + 1}: vertex weight must be below 2**53")
+            vertex_c[u] = int(cw)
+            pos = 1
+        step = 2 if has_eweights else 1
+        if (len(tokens) - pos) % step:
+            raise MetisFormatError(f"vertex {u + 1}: ragged adjacency line")
+        while pos < len(tokens):
+            t = read(int, tokens[pos])
+            if t < 1 or t > n:
+                raise MetisFormatError(
+                    f"vertex {u + 1}: neighbor id {t} out of range")
+            v = t - 1
+            if v == u:
+                raise MetisFormatError(f"vertex {u + 1}: self-loop")
+            w = read(float, tokens[pos + 1]) if has_eweights else 1.0
+            if not 0.0 < w < math.inf:
+                raise MetisFormatError(
+                    f"vertex {u + 1}: edge weight must be positive and finite")
+            acc = directed.setdefault((u, v), [0.0, 0])
+            acc[0] += w
+            acc[1] += 1
+            entries += 1
+            pos += step
+
+    if sum(vertex_c.tolist()) >= 2 ** 53:
+        raise MetisFormatError("vertex weights sum to 2**53 or more")
+    if entries != 2 * m_header:
+        raise MetisFormatError(
+            f"header claims {m_header} edges but file lists {entries} "
+            f"adjacency entries (expected {2 * m_header})")
+    for (u, v), (w, cnt) in directed.items():
+        back = directed.get((v, u))
+        if back is None or back[1] != cnt or back[0] != w:
+            raise MetisFormatError(
+                f"asymmetric adjacency between vertices {u + 1} and {v + 1}")
+
+    pairs = [(u, v) for (u, v) in directed if u < v]
+    weights = [directed[p][0] for p in pairs]
+    return Graph.from_edges(n, pairs, edge_weights=weights,
+                            vertex_weights=vertex_c)

@@ -17,12 +17,13 @@ import pytest
 
 from treepart import (Partition, PartitionConfig, all_fundamental_conductances,
                       balance_cap, comm_volumes,
-                      cond_all_edges, contrast, cut_attributes,
-                      generate_scale_free, geometric_mean, is_balanced, mcv,
+                      cond_all_edges, contrast, generate_scale_free,
+                      geometric_mean, is_balanced, mcv,
                       mcv_postprocess, minimum_spanning_tree,
                       partition_multilevel, root_and_label, sample_bft,
                       save_metis)
 from treepart.cli import main as cli_main
+from treepart.fundcut import cut_attributes
 from tests.conftest import (brute_force_conductance, cut_corpus,
                             external_degrees, random_balanced_blocks,
                             random_connected_graph)

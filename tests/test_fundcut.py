@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from treepart import (Graph, all_fundamental_conductances, cond_all_edges,
-                      cut_attributes, lca, root_and_label, sample_bft, volume)
+                      lca, root_and_label, sample_bft, volume)
+from treepart.fundcut import cut_attributes
 from tests.conftest import (brute_force_conductance, cut_corpus,
                             postorder_cut_aggregates, random_connected_graph)
 
