@@ -189,10 +189,19 @@ def _graph_name(path) -> str:
     return name[:-6] if name.endswith(".graph") else name
 
 
-def _fmt(x: float) -> str:
-    if x != x:
-        return "nan"
-    return f"{x:.12g}"
+def _report_rows(report: ExperimentReport, timing: bool):
+    """(graph, config, indicators, quotients) per report line: one per
+    (graph, config) pair, then one GEOMEAN line per config whose indicators
+    are None and whose quotients are the geometric means. With timing off,
+    every avgTime is None."""
+    def blank(values):
+        return values if timing else {**values, "avgTime": None}
+
+    for s in report.stats:
+        yield (s.graph, s.config, blank(s.values),
+               blank(report.quotients[(s.graph, s.config)]))
+    for label in dict.fromkeys(s.config for s in report.stats):
+        yield "GEOMEAN", label, None, blank(report.geo_means[label])
 
 
 def emit_csv(report: ExperimentReport, timing: bool = True) -> str:
@@ -202,42 +211,33 @@ def emit_csv(report: ExperimentReport, timing: bool = True) -> str:
     repeated identical invocations are byte-identical.
     """
     def cells(values):
-        return ["" if ind == "avgTime" and not timing else _fmt(values[ind])
-                for ind in INDICATORS]
+        return ["" if values is None or values[ind] is None
+                else f"{values[ind]:.12g}" for ind in INDICATORS]
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for s in report.stats:
-        writer.writerow([s.graph, s.config, *cells(s.values),
-                         *cells(report.quotients[(s.graph, s.config)])])
-    for label in dict.fromkeys(s.config for s in report.stats):
-        writer.writerow(["GEOMEAN", label, "", "", "", "", "",
-                         *cells(report.geo_means[label])])
+    for graph, config, values, quotients in _report_rows(report, timing):
+        writer.writerow([graph, config, *cells(values), *cells(quotients)])
     return buf.getvalue()
 
 
 def emit_table(report: ExperimentReport, timing: bool = True) -> str:
     """Human-readable fixed-width table, one line per (graph, config)."""
-    lines = []
     header = (f"{'graph':<24} {'config':<10} {'minMCV':>8} {'avgMCV':>10} "
               f"{'minCut':>10} {'avgCut':>12} {'avgTime':>9} {'q_avgMCV':>9}")
-    lines.append(header)
-    lines.append("-" * len(header))
-    for s in report.stats:
-        q = report.quotients[(s.graph, s.config)]
-        t = f"{s.values['avgTime']:9.3f}" if timing else f"{'-':>9}"
+    lines = [header, "-" * len(header)]
+    for graph, config, values, q in _report_rows(report, timing):
+        # GEOMEAN lines show the geometric means in the indicator columns.
+        digits = (0, 2, 0, 1) if values is not None else (3, 3, 3, 3)
+        values = values if values is not None else q
+        t = values["avgTime"]
+        t = f"{'-':>9}" if t is None else f"{t:9.3f}"
         lines.append(
-            f"{s.graph:<24} {s.config:<10} {s.values['minMCV']:8.0f} "
-            f"{s.values['avgMCV']:10.2f} {s.values['minCut']:10.0f} "
-            f"{s.values['avgCut']:12.1f} {t} {q['avgMCV']:9.3f}")
-    for label in dict.fromkeys(s.config for s in report.stats):
-        gm = report.geo_means[label]
-        t = f"{gm['avgTime']:9.3f}" if timing else f"{'-':>9}"
-        lines.append(
-            f"{'GEOMEAN':<24} {label:<10} {gm['minMCV']:8.3f} "
-            f"{gm['avgMCV']:10.3f} {gm['minCut']:10.3f} "
-            f"{gm['avgCut']:12.3f} {t} {gm['avgMCV']:9.3f}")
+            f"{graph:<24} {config:<10} {values['minMCV']:8.{digits[0]}f} "
+            f"{values['avgMCV']:10.{digits[1]}f} "
+            f"{values['minCut']:10.{digits[2]}f} "
+            f"{values['avgCut']:12.{digits[3]}f} {t} {q['avgMCV']:9.3f}")
     for name, msg in report.errors:
         lines.append(f"{name:<24} ERROR: {msg}")
     return "\n".join(lines) + "\n"

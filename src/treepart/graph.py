@@ -42,6 +42,7 @@ class Graph:
         self.adj_off, self.adj_nbr, self.adj_eid = self._build_csr()
 
     @classmethod
+    @np.errstate(over="ignore")  # an overflowed sum raises ValueError below
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
                    edge_weights: Sequence[float] | None = None,
                    vertex_weights: Sequence[int] | None = None) -> "Graph":
@@ -49,7 +50,8 @@ class Graph:
 
         `edges` is an iterable of (u, v) pairs or an integer array of shape
         (k, 2). Parallel edges are merged by summing their weights.
-        Self-loops are rejected. Missing weights default to 1.
+        Self-loops are rejected. Missing weights default to 1. The merged
+        weights and the total volume must be finite.
         """
         if n < 1:
             raise ValueError("graph needs at least one vertex")
@@ -64,7 +66,7 @@ class Graph:
             w = np.asarray(edge_weights, dtype=np.float64)
             if len(w) != len(pairs):
                 raise ValueError("edge_weights length mismatch")
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise ValueError("edge weights must be strictly positive")
 
         lo = np.minimum(pairs[:, 0], pairs[:, 1])
@@ -88,6 +90,9 @@ class Graph:
             edge_u = np.empty(0, dtype=np.int64)
             edge_v = np.empty(0, dtype=np.int64)
             edge_w = np.empty(0, dtype=np.float64)
+        if not np.isfinite(2.0 * edge_w.sum()):
+            raise ValueError("edge weights overflow: merged weights and "
+                             "total volume must be finite")
 
         if vertex_weights is None:
             c = np.ones(n, dtype=np.int64)

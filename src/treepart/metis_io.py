@@ -146,9 +146,10 @@ def parse_metis(text: str | bytes) -> Graph:
     Absent weights default to 1. Parallel entries for the same vertex pair
     are merged by summing weights in file order. Raises MetisFormatError on
     non-ASCII input, asymmetric adjacency, non-integer or out-of-range ids,
-    self-loops, vertex weights (or their total) of 2**53 or more,
-    non-blank lines after the n vertex lines, or a header/edge-count
-    mismatch; with several faults, on the first in file order.
+    self-loops, vertex weights (or their total) of 2**53 or more, edge
+    weight sums that overflow, non-blank lines after the n vertex lines,
+    or a header/edge-count mismatch; with several faults, on the first in
+    file order.
 
     Each vertex line is split once, and the tokens of all lines are
     converted in one pass per kind (ids, edge weights, vertex weights).
@@ -248,8 +249,11 @@ def parse_metis(text: str | bytes) -> Graph:
 
     u, v, w = _merge_pairs(src, ids - 1, w, n)
     half = u < v
-    return Graph.from_edges(n, np.column_stack((u[half], v[half])),
-                            edge_weights=w[half], vertex_weights=vertex_c)
+    try:
+        return Graph.from_edges(n, np.column_stack((u[half], v[half])),
+                                edge_weights=w[half], vertex_weights=vertex_c)
+    except ValueError as exc:  # all but the weight-overflow rule hold here
+        raise MetisFormatError(str(exc)) from None
 
 
 def _fmt_weight(x: float) -> str:

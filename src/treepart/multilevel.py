@@ -28,6 +28,9 @@ from .spantree import minimum_spanning_tree, root_and_label
 logger = logging.getLogger(__name__)
 
 RATINGS = ("excond", "exalg", "exp2")
+INITIAL_ATTEMPTS = 25  # seeded region growings on the coarsest graph
+MAX_FM_PASSES = 10
+SHRINK_LIMIT = 1.05  # coarsening stops after a level that shrinks less
 
 
 @dataclass
@@ -40,13 +43,6 @@ class PartitionConfig:
     epsilon: float = 0.03
     seed: int = 0
     coarsest_size: int = 60
-    initial_attempts: int = 25
-    max_fm_passes: int = 10
-    shrink_limit: float = 1.05
-    alg_vectors: int = 8
-    alg_iterations: int = 10
-    alg_relaxation: float = 0.5
-    rho_min: float = 1e-9
 
     def __post_init__(self):
         if self.rating not in RATINGS:
@@ -59,10 +55,7 @@ def compute_rating(g: Graph, cfg: PartitionConfig, seed: int) -> np.ndarray:
         return expansion_star2(g)
     rng = random.Random(seed)
     if cfg.rating == "exalg":
-        rho = algebraic_distance(g, cfg.alg_vectors, cfg.alg_iterations,
-                                 cfg.alg_relaxation, cfg.rho_min,
-                                 seed=rng.getrandbits(64))
-        return ex_alg(g, rho)
+        return ex_alg(g, algebraic_distance(g, seed=rng.getrandbits(64)))
     gamma = contrast(g, cfg.trees, rng.getrandbits(64))
     mst_ids = minimum_spanning_tree(g, gamma)
     root = rng.randrange(g.n)
@@ -181,23 +174,23 @@ def initial_bipartition(g: Graph, epsilon: float, attempts: int,
     return Partition.from_blocks(g, best_block)
 
 
-def fm_refine(g: Graph, p: Partition, epsilon: float, max_passes: int,
-              stall_limit: int | None = None) -> Partition:
+def fm_refine(g: Graph, p: Partition, epsilon: float,
+              max_passes: int) -> Partition:
     """Pass-based boundary FM refinement of the edge cut.
 
     Each pass tentatively moves boundary vertices one at a time in
-    max-gain order (a vertex moves at most once per pass, moves must keep
-    balance) and commits the best prefix of the move sequence. A pass is
-    cut short once `stall_limit` consecutive moves fail to produce a new
-    best prefix; the tail of a stalled sequence is nearly always reverted
-    anyway, and skipping it keeps passes cheap on large graphs. Stops after
-    a pass without strict improvement, so the cut never increases.
+    max-gain order (a vertex moves at most once per pass, never into a
+    block it would push over the cap) and commits the best prefix of the
+    move sequence; balance comes before cut, so an unbalanced start can
+    recover. A pass is cut short once max(100, n // 25) moves in a row fail
+    to produce a new best prefix; the tail of a stalled sequence is nearly
+    always reverted anyway, and skipping it keeps passes cheap on large
+    graphs. Stops after a pass that improves neither balance nor cut.
     """
     out = p.copy()
     if g.n < 2 or g.m == 0:
         return out
-    if stall_limit is None:
-        stall_limit = max(100, g.n // 25)
+    stall_limit = max(100, g.n // 25)
     cap = balance_cap(g, epsilon)
     block = out.block
     bw = out.block_weight
@@ -230,9 +223,10 @@ def fm_refine(g: Graph, p: Partition, epsilon: float, max_passes: int,
         moved = bytearray(g.n)
         seq: list[int] = []
         cur = start_cut
-        # Best prefix by (cut, heavier block weight): equal-cut prefixes
+        # Best prefix by (over the cap, cut, heavier block weight): a
+        # balanced prefix beats any unbalanced one, and equal-cut prefixes
         # prefer the more balanced state.
-        best = (start_cut, float(max(bw)))
+        best = start = (max(bw) > cap, start_cut, float(max(bw)))
         best_len = 0
         since_best = 0
         while heap and since_best < stall_limit:
@@ -255,7 +249,7 @@ def fm_refine(g: Graph, p: Partition, epsilon: float, max_passes: int,
             bw[o] += c[v]
             cur += neg_gain
             seq.append(v)
-            key = (cur, float(max(bw)))
+            key = (max(bw) > cap, cur, float(max(bw)))
             if key < best:
                 best = key
                 best_len = len(seq)
@@ -282,7 +276,7 @@ def fm_refine(g: Graph, p: Partition, epsilon: float, max_passes: int,
             block[v] = b
             bw[o] -= c[v]
             bw[b] += c[v]
-        if best[0] >= start_cut:
+        if best[:2] >= start[:2]:
             break
     return Partition.from_blocks(g, block)
 
@@ -306,15 +300,15 @@ def partition_multilevel(g: Graph, cfg: PartitionConfig) -> Partition:
         shrink = cur.n / coarse.n
         levels.append((cur, cmap))
         cur = coarse
-        if shrink < cfg.shrink_limit:
+        if shrink < SHRINK_LIMIT:
             break
 
-    p = initial_bipartition(cur, cfg.epsilon, cfg.initial_attempts,
+    p = initial_bipartition(cur, cfg.epsilon, INITIAL_ATTEMPTS,
                             rng.getrandbits(64))
-    p = fm_refine(cur, p, cfg.epsilon, cfg.max_fm_passes)
+    p = fm_refine(cur, p, cfg.epsilon, MAX_FM_PASSES)
     for fine, cmap in reversed(levels):
         p = Partition.from_blocks(fine, p.block_array()[cmap])
-        p = fm_refine(fine, p, cfg.epsilon, cfg.max_fm_passes)
+        p = fm_refine(fine, p, cfg.epsilon, MAX_FM_PASSES)
     if not is_balanced(g, p, cfg.epsilon):
         logger.warning("final partition violates the balance constraint "
                        "(infeasible vertex weights?)")

@@ -1,4 +1,4 @@
-"""Spanning trees: Kruskal MST, rooted preorder labeling, tree-path queries."""
+"""Spanning trees: Borůvka MST, rooted preorder labeling, tree-path queries."""
 
 from __future__ import annotations
 
@@ -37,55 +37,51 @@ class RootedTree:
         return np.sort(self.parent_edge[self.parent_edge >= 0]).tolist()
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
 def minimum_spanning_tree(g: Graph, values: Sequence[float]) -> np.ndarray:
-    """Edge ids of a minimum-total-value spanning tree.
+    """Sorted edge ids of the minimum spanning tree under the strict order
+    (value, edge id).
 
-    Kruskal with ties broken by canonical edge id, so the result is
-    deterministic for a fixed value array.
+    Borůvka: every round, each component takes its least outgoing edge, so
+    the number of components at least halves. The order is strict, so the
+    tree is unique and is the one Kruskal builds with ties broken by id.
     """
     vals = np.asarray(values, dtype=np.float64)
     if len(vals) != g.m:
         raise ValueError("values length must equal edge count")
     if not np.all(np.isfinite(vals)):
         raise ValueError("edge values must be finite")
-    order = np.lexsort((np.arange(g.m), vals)).tolist()
-    eu = g.edge_u.tolist()
-    ev = g.edge_v.tolist()
-    uf = UnionFind(g.n)
-    chosen = []
-    need = g.n - 1
-    for e in order:
-        if uf.union(eu[e], ev[e]):
-            chosen.append(e)
-            if len(chosen) == need:
-                break
-    if len(chosen) != need:
+    # Live edges in ascending (value, id) order; a position is a rank.
+    ids = np.argsort(vals, kind="stable")
+    eu, ev = g.edge_u[ids], g.edge_v[ids]
+    vertex = np.arange(g.n)
+    comp = vertex  # each component is named by one of its vertices
+    chosen = np.zeros(g.m, dtype=bool)
+    while True:
+        cu, cv = comp[eu], comp[ev]
+        live = cu != cv
+        if not live.any():
+            break
+        ids, eu, ev, cu, cv = ids[live], eu[live], ev[live], cu[live], cv[live]
+        rank = np.arange(len(ids))
+        best = np.full(g.n, len(ids))
+        np.minimum.at(best, cu, rank)
+        np.minimum.at(best, cv, rank)
+        heads = np.flatnonzero(best < len(ids))
+        pick = best[heads]
+        chosen[ids[pick]] = True
+        ptr = vertex.copy()
+        ptr[heads] = cu[pick] + cv[pick] - heads  # the other end's component
+        # Two components that took the same edge point at each other; the
+        # smaller id becomes the root. Pointer jumping flattens the rest: no
+        # chain has more than len(heads) links.
+        ptr = np.where(ptr[ptr] == vertex, np.minimum(ptr, vertex), ptr)
+        for _ in range(len(heads).bit_length()):
+            ptr = ptr[ptr]
+        comp = ptr[comp]
+    tree = np.flatnonzero(chosen)
+    if len(tree) != g.n - 1:
         raise ValueError("graph is not connected")
-    chosen.sort()
-    return np.asarray(chosen, dtype=np.int64)
+    return tree
 
 
 def root_and_label(g: Graph, tree_edges: Iterable[int], root: int) -> RootedTree:
@@ -95,19 +91,17 @@ def root_and_label(g: Graph, tree_edges: Iterable[int], root: int) -> RootedTree
     of the order in which tree edges are supplied.
     """
     n = g.n
-    edges = list(tree_edges)
+    edges = np.sort(np.fromiter(tree_edges, dtype=np.int64))
     if len(edges) != n - 1:
         raise ValueError("tree_edges must contain exactly n-1 edges")
     if not 0 <= root < n:
         raise ValueError("root out of range")
-    tadj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for e in edges:
-        u = int(g.edge_u[e])
-        v = int(g.edge_v[e])
-        tadj[u].append((v, e))
-        tadj[v].append((u, e))
-    for lst in tadj:
-        lst.sort()
+    # The tree as a graph of its own: its CSR lists each vertex's tree
+    # neighbours in ascending id, and adj_eid indexes `edges`.
+    tree = Graph(n, g.edge_u[edges], g.edge_v[edges], g.edge_w[edges],
+                 g.vertex_c)
+    off, nbr = tree.adj_off_list, tree.adj_nbr_list
+    eid = edges[tree.adj_eid].tolist()
 
     parent = [-1] * n
     parent_edge = [-1] * n
@@ -122,10 +116,11 @@ def root_and_label(g: Graph, tree_edges: Iterable[int], root: int) -> RootedTree
         label[u] = len(preorder)
         preorder.append(u)
         # Reversed push so the smallest-id child is labeled first.
-        for v, e in reversed(tadj[u]):
+        for i in reversed(range(off[u], off[u + 1])):
+            v = nbr[i]
             if parent[v] == -1 and v != root:
                 parent[v] = u
-                parent_edge[v] = e
+                parent_edge[v] = eid[i]
                 depth[v] = depth[u] + 1
                 stack.append(v)
     if len(preorder) != n:

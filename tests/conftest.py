@@ -206,6 +206,83 @@ def orientation_counts(g: Graph, tree_list):
     return min_c, max_c
 
 
+class UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True
+
+
+def kruskal_mst(g: Graph, values) -> np.ndarray:
+    """Oracle: Kruskal over edges in (value, edge id) order with a
+    union-find. Returns the sorted tree edge ids; raises ValueError if the
+    graph is not connected."""
+    order = np.lexsort((np.arange(g.m), np.asarray(values, dtype=np.float64)))
+    eu, ev = g.edge_u.tolist(), g.edge_v.tolist()
+    uf = UnionFind(g.n)
+    chosen = []
+    for e in order.tolist():
+        if len(chosen) == g.n - 1:
+            break
+        if uf.union(eu[e], ev[e]):
+            chosen.append(e)
+    if len(chosen) != g.n - 1:
+        raise ValueError("graph is not connected")
+    return np.asarray(sorted(chosen), dtype=np.int64)
+
+
+def tadj_root_and_label(g: Graph, tree_edges, root: int) -> RootedTree:
+    """Oracle: root a spanning tree by a DFS over per-vertex lists of
+    (neighbour, edge id) tuples, each sorted, so children are labelled in
+    ascending id. Raises ValueError if the edges do not span the graph."""
+    n = g.n
+    tadj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e in tree_edges:
+        u, v = int(g.edge_u[e]), int(g.edge_v[e])
+        tadj[u].append((v, e))
+        tadj[v].append((u, e))
+    for lst in tadj:
+        lst.sort()
+    parent, parent_edge, depth = [-1] * n, [-1] * n, [0] * n
+    label = [-1] * n
+    preorder: list[int] = []
+    parent[root] = root
+    stack = [root]
+    while stack:
+        u = stack.pop()
+        label[u] = len(preorder)
+        preorder.append(u)
+        for v, e in reversed(tadj[u]):
+            if parent[v] == -1 and v != root:
+                parent[v], parent_edge[v], depth[v] = u, e, depth[u] + 1
+                stack.append(v)
+    if len(preorder) != n:
+        raise ValueError("tree_edges do not span the graph")
+    max_label = label[:]
+    for v in reversed(preorder):
+        p = parent[v]
+        if p != v:
+            max_label[p] = max(max_label[p], max_label[v])
+    return RootedTree(root, *(np.asarray(x, dtype=np.int64) for x in (
+        parent, parent_edge, depth, label, max_label, preorder)))
+
+
 def postorder_cut_aggregates(g: Graph, t: RootedTree):
     """Oracle: fundamental-cut conductances and the three per-vertex
     aggregates (subtree volume, intra and inter weight) from one postorder
@@ -414,5 +491,8 @@ def scalar_parse_metis(text: str | bytes) -> Graph:
 
     pairs = [(u, v) for (u, v) in directed if u < v]
     weights = [directed[p][0] for p in pairs]
+    if not math.isfinite(2.0 * sum(weights)):
+        raise MetisFormatError("edge weights overflow: merged weights and "
+                               "total volume must be finite")
     return Graph.from_edges(n, pairs, edge_weights=weights,
                             vertex_weights=vertex_c)

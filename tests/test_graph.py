@@ -28,6 +28,25 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 1)], vertex_weights=[1, 0])
 
+    @pytest.mark.parametrize("n, edges, weights", [
+        (2, [(0, 1), (0, 1)], [1e308, 1e308]),          # merged weight
+        (3, [(0, 1), (1, 2)], [1e308, 1e308]),          # total volume
+        (2, [(0, 1)], [9e307]),                         # 2 * weight
+        (2, [(0, 1)], [float("inf")]),
+    ])
+    def test_weight_overflow_rejected(self, n, edges, weights):
+        with pytest.raises(ValueError, match="overflow"):
+            Graph.from_edges(n, edges, edge_weights=weights)
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            Graph.from_edges(2, [(0, 1)], edge_weights=[float("nan")])
+
+    def test_large_finite_total_accepted(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)],
+                             edge_weights=[4e307, 4e307])
+        assert g.total_volume == 1.6e308
+
     def test_vertex_out_of_range(self):
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])

@@ -280,6 +280,20 @@ def test_vertex_weight_total_of_2_53_rejected():
 
 
 @pytest.mark.parametrize("text", [
+    "2 2 1\n2 1e308 2 1e308\n1 1e308 1 1e308\n",     # merged weight
+    "3 2 1\n2 1e308\n1 1e308 3 1e308\n2 1e308\n",   # total volume
+])
+def test_edge_weight_overflow_rejected(text):
+    with pytest.raises(MetisFormatError, match="edge weights overflow"):
+        parse_metis(text)
+    assert not matches_oracle(text)
+    # Halved, the same files parse to finite weights.
+    g = parse_metis(text.replace("1e308", "4e307"))
+    assert matches_oracle(text.replace("1e308", "4e307"))
+    assert np.isfinite(g.total_volume)
+
+
+@pytest.mark.parametrize("text", [
     "2 1\n٢\n1\n",                  # Arabic-Indic digit two
     "3 2\n2 1 3\n2\n",              # line separator
     "2 1\n2\n1\n% café\n",

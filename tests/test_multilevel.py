@@ -2,8 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treepart import (Graph, Partition, PartitionConfig,
+from treepart import (RATINGS, Graph, Partition, PartitionConfig,
                       contract, edge_cut, fm_refine, generate_scale_free,
                       greedy_matching, initial_bipartition, is_balanced,
                       partition_multilevel)
@@ -167,6 +168,15 @@ class TestFmRefine:
         assert edge_cut(p4, refined) == 1.0
         assert is_balanced(p4, refined, 0.0)
 
+    def test_unbalanced_input_rebalanced(self):
+        # Moving vertex 2 raises the cut from 1 to 5 but restores balance,
+        # and a balanced prefix wins over any cut.
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)],
+                             edge_weights=[1.0, 5.0, 1.0])
+        out = fm_refine(g, Partition.from_blocks(g, [0, 0, 0, 1]), 0.0, 10)
+        assert out.block == [0, 0, 1, 1]
+        assert is_balanced(g, out, 0.0)
+
     def test_optimal_input_unchanged(self, p4):
         p = Partition.from_blocks(p4, [0, 0, 1, 1])
         refined = fm_refine(p4, p, 0.0, max_passes=10)
@@ -232,3 +242,83 @@ class TestPartitionMultilevel:
     def test_unknown_rating_rejected(self):
         with pytest.raises(ValueError, match="unknown rating"):
             PartitionConfig(rating="bogus")
+
+
+@st.composite
+def matched_graphs(draw):
+    """A connected graph with integer edge and vertex weights (so every sum
+    is exact) and a random matching of its edges."""
+    n = draw(st.integers(1, 25))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    if n > 1:
+        vertex = st.integers(0, n - 1)
+        extra = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+        edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    edges = sorted(edges)
+    g = Graph.from_edges(
+        n, edges,
+        edge_weights=draw(st.lists(st.integers(1, 10 ** 6), min_size=len(edges),
+                                   max_size=len(edges))),
+        vertex_weights=draw(st.lists(st.integers(1, 10 ** 6), min_size=n,
+                                     max_size=n)))
+    mate = [-1] * n
+    for e in draw(st.permutations(range(g.m))):
+        u, v = int(g.edge_u[e]), int(g.edge_v[e])
+        if mate[u] < 0 and mate[v] < 0 and draw(st.booleans()):
+            mate[u], mate[v] = v, u
+    return g, np.asarray(mate, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(matched_graphs())
+def test_contract_keeps_vertex_and_non_loop_edge_weight(case):
+    g, mate = case
+    coarse, cmap = contract(g, mate)
+    assert coarse.n == g.n - int(np.count_nonzero(mate >= 0)) // 2
+    assert int(coarse.vertex_c.sum()) == int(g.vertex_c.sum())
+    # Every fine edge between two coarse vertices lands on their coarse
+    # edge; the edges inside a matched pair vanish.
+    want: dict[tuple[int, int], float] = {}
+    for u, v, w in zip(cmap[g.edge_u].tolist(), cmap[g.edge_v].tolist(),
+                       g.edge_w.tolist()):
+        if u != v:
+            key = (min(u, v), max(u, v))
+            want[key] = want.get(key, 0.0) + w
+    got = dict(zip(zip(coarse.edge_u.tolist(), coarse.edge_v.tolist()),
+                   coarse.edge_w.tolist()))
+    assert got == want
+
+
+def test_contract_of_near_overflow_weights_stays_finite():
+    # The fine total volume is finite, so merging parallel coarse edges
+    # cannot overflow either.
+    big = 2.0 ** 1020
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)],
+                         edge_weights=[big] * 4)
+    coarse, _ = contract(g, np.array([-1, 2, 1, -1]))
+    assert coarse.edge_w.tolist() == [2 * big, 2 * big]
+    assert coarse.total_volume == g.total_volume < float("inf")
+
+
+@st.composite
+def unit_graphs(draw):
+    """A connected unit-weight graph on 2 to 120 vertices, a rating, a seed
+    and a coarsest size small enough to force coarsening levels."""
+    n = draw(st.integers(2, 120))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    g = random_connected_graph(rng, n_lo=n, n_hi=n, w_lo=1, w_hi=1,
+                               extra_frac=draw(st.sampled_from([0.0, 0.6,
+                                                                2.0])))
+    cfg = PartitionConfig(rating=draw(st.sampled_from(RATINGS)), trees=4,
+                          epsilon=0.0, seed=draw(st.integers(0, 99)),
+                          coarsest_size=draw(st.sampled_from([2, 8, 60])))
+    return g, cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(unit_graphs())
+def test_epsilon_zero_gives_exact_halves_on_unit_weights(case):
+    g, cfg = case
+    p = partition_multilevel(g, cfg)
+    assert sorted(p.block_weight) == [g.n // 2, (g.n + 1) // 2]
+    assert is_balanced(g, p, 0.0)

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from treepart import (Graph, lca, minimum_spanning_tree, root_and_label,
                       sample_bft)
 from treepart.spantree import tree_paths
-from tests.conftest import random_connected_graph
+from tests.conftest import (cut_corpus, kruskal_mst, random_connected_graph,
+                            tadj_root_and_label)
+from tests.test_fundcut import family
 
 
 def naive_lca(t, u, v):
@@ -121,6 +123,155 @@ class TestRootAndLabel:
         # Edges 0-1 and 0-3 plus 0-1 again do not span.
         with pytest.raises(ValueError):
             root_and_label(c4, [0, 0, 1], root=0)
+
+
+TREE_FIELDS = ("parent", "parent_edge", "depth", "label", "max_label",
+               "preorder")
+
+
+def assert_same_rooting(g, tree_edges, root):
+    got = root_and_label(g, tree_edges, root)
+    want = tadj_root_and_label(g, tree_edges, root)
+    assert got.root == want.root
+    for name in TREE_FIELDS:
+        field = getattr(got, name)
+        assert field.dtype == np.int64
+        assert np.array_equal(field, getattr(want, name)), name
+
+
+def assert_matches_oracles(g, values, root):
+    """Borůvka gives Kruskal's id array, and the CSR rooting of that tree
+    gives every field of the tuple-list rooting."""
+    ids = minimum_spanning_tree(g, values)
+    assert ids.dtype == np.int64
+    assert np.array_equal(ids, kruskal_mst(g, values))
+    assert_same_rooting(g, ids.tolist(), root)
+
+
+def family_graph(name, n, rng):
+    """Tree family of tests.test_fundcut plus its chords, ids shuffled."""
+    parent, chords = family(name, n, rng)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = {(min(ids[parent[i]], ids[i]), max(ids[parent[i]], ids[i]))
+             for i in range(1, n)}
+    edges |= {(min(ids[u], ids[v]), max(ids[u], ids[v]))
+              for u, v in chords if u != v}
+    return Graph.from_edges(n, sorted(edges))
+
+
+def strip(k, rng=None):
+    """8 x k grid strip, vertex ids shuffled when `rng` is given."""
+    n = 8 * k
+    ids = list(range(n))
+    if rng is not None:
+        rng.shuffle(ids)
+    edges = [(ids[8 * c + r], ids[8 * c + r + 1])
+             for c in range(k) for r in range(7)]
+    edges += [(ids[8 * c + r], ids[8 * c + 8 + r])
+              for c in range(k - 1) for r in range(8)]
+    return Graph.from_edges(n, edges)
+
+
+def value_kinds(g, rng):
+    """Float values, small integers (many ties) and all-equal values."""
+    return ([rng.random() for _ in range(g.m)],
+            [rng.randrange(4) for _ in range(g.m)],
+            [1.0] * g.m)
+
+
+class TestAgainstOracles:
+    def test_criterion1_corpus(self):
+        rng = random.Random(31)
+        for g, t in cut_corpus():
+            for values in value_kinds(g, rng):
+                assert_matches_oracles(g, values, rng.randrange(g.n))
+            # The sampled BFT tree, supplied in shuffled order.
+            edges = t.tree_edge_ids()
+            rng.shuffle(edges)
+            assert_same_rooting(g, edges, t.root)
+
+    @pytest.mark.parametrize("name", ["path", "star", "caterpillar",
+                                      "random"])
+    def test_tree_families_with_chords(self, name):
+        rng = random.Random(32)
+        for n in (4, 9, 50, 400):
+            g = family_graph(name, n, rng)
+            for values in value_kinds(g, rng):
+                assert_matches_oracles(g, values, rng.randrange(n))
+
+    def test_strips(self):
+        rng = random.Random(33)
+        for k in (1, 2, 7, 150):
+            for g in (strip(k), strip(k, rng)):
+                for values in value_kinds(g, rng):
+                    assert_matches_oracles(g, values, rng.randrange(g.n))
+
+    def test_path_plus_chords_all_equal_values_large(self):
+        rng = random.Random(34)
+        n = 10 ** 5
+        g = family_graph("path", n, rng)
+        assert_matches_oracles(g, np.ones(g.m), rng.randrange(n))
+
+    def test_path_with_values_increasing_along_it_large(self):
+        # Every vertex takes its edge towards vertex 0: one Borůvka round
+        # whose pointer chain is n long, and a rooting DFS n deep.
+        n = 10 ** 5
+        g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        assert_matches_oracles(g, np.arange(g.m, dtype=np.float64), 0)
+        assert_matches_oracles(g, np.arange(g.m, 0, -1.0), n // 3)
+
+    def test_tiny_graphs(self):
+        g1 = Graph.from_edges(1, [])
+        assert_matches_oracles(g1, [], 0)
+        assert minimum_spanning_tree(g1, []).tolist() == []
+        for root in (0, 1):
+            assert_matches_oracles(Graph.from_edges(2, [(0, 1)]), [3.0],
+                                   root)
+        for edges in ([(0, 1), (1, 2)], [(0, 2), (1, 2)],
+                      [(0, 1), (0, 2), (1, 2)]):
+            g = Graph.from_edges(3, edges)
+            for values in ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 2.0, 1.0],
+                           [5.0, 5.0, 5.0]):
+                for root in range(3):
+                    assert_matches_oracles(g, values[:g.m], root)
+
+    @pytest.mark.parametrize("n, edges", [
+        (2, []),
+        (4, [(0, 1), (2, 3)]),
+        (5, [(0, 1), (1, 2), (0, 2), (3, 4)]),
+        (3, [(0, 1)]),
+    ])
+    def test_disconnected(self, n, edges):
+        g = Graph.from_edges(n, edges)
+        values = [1.0] * g.m
+        for mst in (minimum_spanning_tree, kruskal_mst):
+            with pytest.raises(ValueError, match="^graph is not connected$"):
+                mst(g, values)
+
+
+@st.composite
+def valued_graphs(draw):
+    """A connected graph on up to 30 vertices with float or tied integer
+    edge values, and a root."""
+    n = draw(st.integers(1, 30))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    if n > 1:
+        vertex = st.integers(0, n - 1)
+        extra = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+        edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    ids = draw(st.permutations(range(n)))
+    g = Graph.from_edges(n, [(ids[u], ids[v]) for u, v in edges])
+    value = draw(st.sampled_from([st.integers(0, 3).map(float),
+                                  st.floats(-1e3, 1e3)]))
+    values = draw(st.lists(value, min_size=g.m, max_size=g.m))
+    return g, values, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(valued_graphs())
+def test_mst_and_rooting_match_oracles(case):
+    assert_matches_oracles(*case)
 
 
 class TestLca:
