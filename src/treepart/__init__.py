@@ -23,23 +23,21 @@ from .multilevel import (RATINGS, PartitionConfig, compute_rating, contract,
 from .partition import Partition, balance_cap, is_balanced
 from .rating import (algebraic_distance, cond_all_edges, ex_alg, ex_cond,
                      expansion_star2)
-from .sampling import (DirectedEdgeCounts, contrast, directed_edge_counts,
-                       sample_bft)
+from .sampling import contrast, sample_bft
 from .spantree import RootedTree, lca, minimum_spanning_tree, root_and_label
 
 __all__ = [
-    "DirectedEdgeCounts", "ExperimentReport", "Graph",
-    "MetisFormatError", "Partition", "PartitionConfig", "RATINGS",
-    "RootedTree", "RunRecord", "algebraic_distance",
-    "all_fundamental_conductances", "balance_cap",
+    "ExperimentReport", "Graph", "MetisFormatError", "Partition",
+    "PartitionConfig", "RATINGS", "RootedTree", "RunRecord",
+    "algebraic_distance", "all_fundamental_conductances", "balance_cap",
     "check_connected", "comm_volumes", "cond_all_edges", "config_label",
     "connected_components", "contract", "contrast", "compute_rating",
-    "directed_edge_counts", "edge_cut", "emit_csv",
-    "emit_table", "ex_alg", "ex_cond", "expansion_star2", "fm_refine",
-    "generate_scale_free", "geometric_mean", "greedy_matching",
-    "initial_bipartition", "is_balanced", "largest_component", "lca",
-    "load_metis", "mcv", "mcv_postprocess", "minimum_spanning_tree",
-    "parse_metis", "partition_multilevel", "root_and_label",
-    "run_experiment", "run_single", "sample_bft", "save_metis",
-    "serialize_metis", "volume", "write_partition",
+    "edge_cut", "emit_csv", "emit_table", "ex_alg", "ex_cond",
+    "expansion_star2", "fm_refine", "generate_scale_free",
+    "geometric_mean", "greedy_matching", "initial_bipartition",
+    "is_balanced", "largest_component", "lca", "load_metis", "mcv",
+    "mcv_postprocess", "minimum_spanning_tree", "parse_metis",
+    "partition_multilevel", "root_and_label", "run_experiment",
+    "run_single", "sample_bft", "save_metis", "serialize_metis", "volume",
+    "write_partition",
 ]

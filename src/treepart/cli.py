@@ -46,11 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     ratings = list(dict.fromkeys(args.rating or ["excond"]))
-    configs = [PartitionConfig(rating=r, trees=args.trees,
-                               epsilon=args.epsilon,
-                               coarsest_size=args.coarsest_size)
-               for r in ratings]
     try:
+        configs = [PartitionConfig(rating=r, trees=args.trees,
+                                   epsilon=args.epsilon,
+                                   coarsest_size=args.coarsest_size)
+                   for r in ratings]
         report = run_experiment(
             args.graph, configs, args.runs, args.seed,
             postprocess=not args.no_postprocessing,

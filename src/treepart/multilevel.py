@@ -47,6 +47,13 @@ class PartitionConfig:
     def __post_init__(self):
         if self.rating not in RATINGS:
             raise ValueError(f"unknown rating {self.rating!r}")
+        if self.trees < 1:
+            raise ValueError(f"trees must be at least 1, got {self.trees}")
+        if self.coarsest_size < 2:
+            raise ValueError("coarsest_size must be at least 2, got "
+                             f"{self.coarsest_size}")
+        if not self.epsilon >= 0:
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 def compute_rating(g: Graph, cfg: PartitionConfig, seed: int) -> np.ndarray:
@@ -287,7 +294,7 @@ def partition_multilevel(g: Graph, cfg: PartitionConfig) -> Partition:
         raise ValueError("input graph must be connected")
     rng = random.Random(cfg.seed)
     total = int(g.vertex_c.sum())
-    max_vertex_weight = 1.5 * total / max(cfg.coarsest_size, 1)
+    max_vertex_weight = 1.5 * total / cfg.coarsest_size
 
     levels: list[tuple[Graph, np.ndarray]] = []
     cur = g

@@ -5,7 +5,11 @@ that scans the neighbors of each popped vertex in an independent random
 order: every adjacency entry gets a uniform key from the tree's own
 generator, and a vertex's neighbors are scanned in ascending key order.
 The contrast of an edge is the smaller of the two per-orientation counts of
-trees containing it, accumulated over a whole tree collection.
+trees containing it, accumulated over a whole tree collection. The CSR has
+one adjacency entry per edge orientation, and the entry u -> v that claims
+v in a tree is that tree edge oriented away from the root. So contrast
+counts claims per entry and takes, for each edge, the smaller count of its
+two entries.
 
 The trees of a collection grow in lockstep. One level-synchronous sweep
 advances W trees together over flattened (tree, vertex) slots, so one BFS
@@ -36,7 +40,6 @@ SWEEP_CAP / 2 edges is swept one tree at a time.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,27 +52,15 @@ SWEEP_CAP = 1 << 17
 _UNSEEN = np.iinfo(np.int64).max
 
 
-@dataclass
-class DirectedEdgeCounts:
-    """Per-edge tree counts split by which endpoint was nearer the root.
-
-    min_closer[e] counts sampled trees containing edge e in which the
-    canonical smaller endpoint is closer to the root; max_closer[e] the
-    other orientation. Their sum is at most the number of trees.
-    """
-
-    trees: int
-    min_closer: np.ndarray
-    max_closer: np.ndarray
-
-
 def _sweep(g: Graph, seeds: Sequence[int]):
     """Grow one random BFT tree per seed, all in one level-synchronous sweep.
 
     Each tree draws its root and then 2m entry keys (none when n = 1) from
-    `np.random.default_rng(seed)`. Returns (roots, parent, parent_edge),
-    the last two of shape (len(seeds), n); a root is its own parent and has
-    parent edge -1. Raises ValueError if the graph is not connected.
+    `np.random.default_rng(seed)`. Returns (roots, entry), entry of shape
+    (len(seeds), n): entry[t, v] is the adjacency entry that claimed v in
+    tree t, or -1 at the root, so v's parent is `g.csr_src[entry[t, v]]`
+    and its parent edge `g.adj_eid[entry[t, v]]`. Raises ValueError if the
+    graph is not connected.
     """
     n, w, two_m = g.n, len(seeds), 2 * g.m
     roots = np.empty(w, dtype=np.int64)
@@ -82,7 +73,7 @@ def _sweep(g: Graph, seeds: Sequence[int]):
     # Slot t*n + v is vertex v of tree t, and key t*2m + i is adjacency
     # entry i of tree t. Per slot, `via` holds _UNSEEN until the slot's
     # level, then on that level the position of its first candidate entry,
-    # and from then on the key index of the entry that claimed it.
+    # and from then on the entry that claimed it.
     tree_col = np.arange(w, dtype=np.int64)[:, None]
     off, deg = g.adj_off, np.diff(g.adj_off)
     via = np.full(w * n, _UNSEEN, dtype=np.int64)
@@ -107,9 +98,8 @@ def _sweep(g: Graph, seeds: Sequence[int]):
         pos, slot = pos[won], slot[won]
         src = ends.searchsorted(pos, side="right")
         tree = f_tree[src]
-        key = entry[pos] + tree * two_m
-        via[slot] = key
-        claim = (src - t_start[tree]) + keys[key]
+        via[slot] = entry[pos]
+        claim = (src - t_start[tree]) + keys[via[slot] + tree * two_m]
         order = np.lexsort((slot, claim, tree))
         f_tree = tree[order]
         f_vert = slot[order] - f_tree * n
@@ -117,21 +107,13 @@ def _sweep(g: Graph, seeds: Sequence[int]):
         reached += f_vert.size
     if reached != w * n:
         raise ValueError("graph is not connected")
-    del keys  # freed before the per-tree results are built
-    entry = via.reshape(w, n) - tree_col * two_m
-    in_tree = entry >= 0
-    parent_edge = np.full((w, n), -1, dtype=np.int64)
-    parent_edge[in_tree] = e = g.adj_eid[entry[in_tree]]
-    parent = np.repeat(roots[:, None], n, axis=1)
-    parent[in_tree] = g.edge_u[e] + g.edge_v[e] - in_tree.nonzero()[1]
-    return roots, parent, parent_edge
+    return roots, via.reshape(w, n)
 
 
 def sample_bft(g: Graph, seed: int) -> RootedTree:
     """Sample one random BFT spanning tree, deterministic per seed."""
-    roots, _, parent_edge = _sweep(g, [seed])
-    edges = parent_edge[0][parent_edge[0] >= 0].tolist()
-    return root_and_label(g, edges, int(roots[0]))
+    roots, entry = _sweep(g, [seed])
+    return root_and_label(g, g.adj_eid[entry[entry >= 0]], int(roots[0]))
 
 
 def subseeds(seed: int, count: int) -> list[int]:
@@ -140,34 +122,24 @@ def subseeds(seed: int, count: int) -> list[int]:
     return [master.getrandbits(64) for _ in range(count)]
 
 
-def _sweep_counts(g: Graph, seeds: Sequence[int]) -> np.ndarray:
-    """Orientation counts of one sweep's trees: min_closer in [:m],
-    max_closer in [m:]. Parent-edge ids repeat across trees, so they are
-    counted with one bincount, not with indexed increments."""
-    _, parent, parent_edge = _sweep(g, seeds)
-    index = parent_edge + np.where(parent < np.arange(g.n), 0, g.m)
-    return np.bincount(index[parent_edge >= 0], minlength=2 * g.m)
-
-
-def directed_edge_counts(g: Graph, trees: int, seed: int) -> DirectedEdgeCounts:
-    """Accumulate orientation counts over `trees` sampled BFT trees.
+def contrast(g: Graph, trees: int, seed: int) -> np.ndarray:
+    """Per-edge contrast over `trees` sampled BFT trees.
 
     Tree i is `sample_bft(g, subseeds(seed, trees)[i])`. The trees are
     grown in sweeps of max(1, min(trees, SWEEP_CAP // 2m)) trees each (see
-    the module docstring); the counts are taken once per sweep from its
-    parent arrays. Raises ValueError if the graph is not connected.
+    the module docstring). Claims per adjacency entry repeat across trees,
+    so each sweep adds them with one bincount; an edge's contrast is the
+    smaller count of its two entries. Raises ValueError if the graph is
+    not connected.
     """
     if trees < 1:
         raise ValueError("need at least one tree")
     seeds = subseeds(seed, trees)
     width = max(1, min(trees, SWEEP_CAP // max(2 * g.m, 1)))
-    counts = np.zeros(2 * g.m, dtype=np.int64)
+    claims = np.zeros(2 * g.m, dtype=np.int64)
     for lo in range(0, trees, width):
-        counts += _sweep_counts(g, seeds[lo:lo + width])
-    return DirectedEdgeCounts(trees, counts[:g.m], counts[g.m:])
-
-
-def contrast(g: Graph, trees: int, seed: int) -> np.ndarray:
-    """Per-edge contrast: min over orientations of the tree counts."""
-    counts = directed_edge_counts(g, trees, seed)
-    return np.minimum(counts.min_closer, counts.max_closer)
+        entry = _sweep(g, seeds[lo:lo + width])[1]
+        claims += np.bincount(entry[entry >= 0], minlength=2 * g.m)
+    gamma = np.full(g.m, trees, dtype=np.int64)
+    np.minimum.at(gamma, g.adj_eid, claims)
+    return gamma

@@ -94,6 +94,8 @@ def root_and_label(g: Graph, tree_edges: Iterable[int], root: int) -> RootedTree
     edges = np.sort(np.fromiter(tree_edges, dtype=np.int64))
     if len(edges) != n - 1:
         raise ValueError("tree_edges must contain exactly n-1 edges")
+    if edges.size and (edges[0] < 0 or edges[-1] >= g.m):
+        raise ValueError("tree edge id out of range")
     if not 0 <= root < n:
         raise ValueError("root out of range")
     # The tree as a graph of its own: its CSR lists each vertex's tree

@@ -1,5 +1,7 @@
 import hashlib
 
+import pytest
+
 from treepart import generate_scale_free, save_metis
 from treepart.cli import main
 
@@ -109,3 +111,20 @@ def test_no_postprocessing_flag(tmp_path):
     rc = main(["--graph", path, "--runs", "1", "--trees", "5",
                "--coarsest-size", "25", "--no-postprocessing"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--coarsest-size", "0", "--no-postprocessing"],
+     "coarsest_size must be at least 2"),
+    (["--coarsest-size", "1"], "coarsest_size must be at least 2"),
+    (["--epsilon", "nan"], "epsilon must be >= 0"),
+    (["--epsilon", "-1"], "epsilon must be >= 0"),
+    (["--trees", "0"], "trees must be at least 1"),
+])
+def test_degenerate_config_fails(tmp_path, capsys, flags, message):
+    path = write_graph(tmp_path, n=40)
+    rc = main(["--graph", path, "--runs", "1", *flags])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""

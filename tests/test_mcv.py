@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from treepart import (Graph, Partition, comm_volumes, edge_cut, is_balanced,
                       mcv, mcv_postprocess)
@@ -114,3 +115,39 @@ class TestPostprocess:
             mcv_postprocess(g, p, rounds=6, epsilon=0.03, seed=2, stats=stats)
             if stats["rounds"]:
                 assert stats["max_round_touches"] <= 4 * (g.n + g.m)
+
+
+@st.composite
+def balanced_starts(draw):
+    """A connected graph with vertex weights 1-3, an epsilon, and a start
+    that puts the vertices, in random order, into the lighter block."""
+    n = draw(st.integers(2, 30))
+    ids = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((ids[draw(st.integers(0, i - 1))], ids[i])))
+             for i in range(1, n)}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges |= {tuple(sorted(p)) for p in draw(st.lists(pair, max_size=60))
+              if p[0] != p[1]}
+    c = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    g = Graph.from_edges(n, sorted(edges), vertex_weights=c)
+    epsilon = draw(st.sampled_from([0.0, 0.03, 0.25]))
+    block, weight = [0] * n, [0, 0]
+    for v in draw(st.permutations(range(n))):
+        b = int(weight[1] < weight[0])
+        block[v] = b
+        weight[b] += c[v]
+    p = Partition.from_blocks(g, block)
+    assume(is_balanced(g, p, epsilon))
+    return g, p, epsilon
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(balanced_starts(), st.integers(0, 8), st.integers(0, 2 ** 32))
+def test_postprocess_keeps_balance_and_never_raises_mcv(case, rounds, seed):
+    g, p, epsilon = case
+    before = p.copy()
+    out = mcv_postprocess(g, p, rounds=rounds, epsilon=epsilon, seed=seed)
+    assert mcv(g, out) <= mcv(g, p)
+    assert is_balanced(g, out, epsilon)
+    assert out.block_weight == Partition.from_blocks(g, out.block).block_weight
+    assert p == before

@@ -243,6 +243,22 @@ class TestPartitionMultilevel:
         with pytest.raises(ValueError, match="unknown rating"):
             PartitionConfig(rating="bogus")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("trees", 0, "trees must be at least 1"),
+        ("trees", -3, "trees must be at least 1"),
+        ("coarsest_size", 1, "coarsest_size must be at least 2"),
+        ("coarsest_size", 0, "coarsest_size must be at least 2"),
+        ("epsilon", -1.0, "epsilon must be >= 0"),
+        ("epsilon", float("nan"), "epsilon must be >= 0"),
+    ])
+    def test_degenerate_config_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            PartitionConfig(**{field: value})
+
+    def test_smallest_valid_config_accepted(self, k2):
+        cfg = PartitionConfig(trees=1, coarsest_size=2, epsilon=0.0)
+        assert partition_multilevel(k2, cfg).block_weight == [1, 1]
+
 
 @st.composite
 def matched_graphs(draw):

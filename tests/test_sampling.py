@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treepart import Graph, contrast, directed_edge_counts, sample_bft
+from treepart import Graph, contrast, sample_bft
 from treepart import sampling
 from treepart.sampling import subseeds
 from tests.conftest import (cut_corpus, level_sync_bft, orientation_counts,
@@ -87,51 +87,45 @@ class TestContrast:
             assert np.all(gamma >= 0)
             assert np.all(gamma <= trees // 2)
 
-    def test_bridges_appear_in_every_tree(self):
+    def test_bridges_appear_in_every_tree(self, monkeypatch):
         # Two triangles joined by the bridge {2, 3}.
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3),
                                  (3, 4), (3, 5), (4, 5)])
         bridge = g.edge_ids[(2, 3)]
-        counts = directed_edge_counts(g, 25, 8)
-        assert counts.min_closer[bridge] + counts.max_closer[bridge] == 25
+        gamma, claims = swept_claims(g, 25, 8, monkeypatch)
+        both = claims[g.adj_eid == bridge]
+        assert both.sum() == 25
+        assert gamma[bridge] == both.min()
 
-    def test_counts_sum_bounded_by_trees(self):
+    def test_counts_sum_bounded_by_trees(self, monkeypatch):
         rng = random.Random(33)
         g = random_connected_graph(rng)
-        counts = directed_edge_counts(g, 10, 5)
-        total = counts.min_closer + counts.max_closer
-        assert np.all(total <= 10)
-        assert np.all(counts.min_closer >= 0)
-        assert np.all(counts.max_closer >= 0)
+        _, claims = swept_claims(g, 10, 5, monkeypatch)
+        assert np.all(claims >= 0)
+        assert np.all(np.bincount(g.adj_eid, claims, g.m) <= 10)
 
-    def test_gamma_is_min_of_counts(self):
+    def test_gamma_is_min_of_counts(self, monkeypatch):
         rng = random.Random(47)
         g = random_connected_graph(rng)
-        counts = directed_edge_counts(g, 8, 123)
-        gamma = contrast(g, 8, 123)
-        assert np.array_equal(
-            gamma, np.minimum(counts.min_closer, counts.max_closer))
+        gamma, claims = swept_claims(g, 8, 123, monkeypatch)
+        want = [min(claims[g.adj_eid == e]) for e in range(g.m)]
+        assert gamma.tolist() == want
 
-    def test_matches_per_tree_sampling(self):
-        # Accumulating counts equals orienting each sample_bft tree by hand.
+    def test_matches_per_tree_sampling(self, monkeypatch):
+        # Counting claims equals finding each sample_bft tree edge's
+        # parent-to-child entry by hand.
         rng = random.Random(55)
         g = random_connected_graph(rng, n_lo=6, n_hi=10)
         trees, seed = 6, 2024
-        min_c = np.zeros(g.m, dtype=int)
-        max_c = np.zeros(g.m, dtype=int)
+        want = np.zeros(2 * g.m, dtype=int)
         for sub in subseeds(seed, trees):
             t = sample_bft(g, sub)
             for v in range(g.n):
-                e = t.parent_edge[v]
-                if e < 0:
-                    continue
-                if t.parent[v] < v:
-                    min_c[e] += 1
-                else:
-                    max_c[e] += 1
-        counts = directed_edge_counts(g, trees, seed)
-        assert np.array_equal(counts.min_closer, min_c)
-        assert np.array_equal(counts.max_closer, max_c)
+                if v != t.root:
+                    u = t.parent[v]
+                    want[g.adj_off[u] + g.neighbors(u).index(v)] += 1
+        _, claims = swept_claims(g, trees, seed, monkeypatch)
+        assert claims.tolist() == want.tolist()
 
     def test_p3_roots_at_both_ends_give_gamma_one(self, p3):
         # Find a collection seed whose two trees are rooted at the opposite
@@ -178,17 +172,45 @@ def family_graph(name, n, rng):
     return relabeled(n, edges, rng)
 
 
+def swept_claims(g, trees, seed, monkeypatch):
+    """contrast(g, trees, seed) and, counted one by one, the claims per
+    adjacency entry of the sweeps it ran."""
+    claims = np.zeros(2 * g.m, dtype=np.int64)
+    sweep = sampling._sweep
+
+    def recording(g, seeds):
+        roots, entry = sweep(g, seeds)
+        for i in entry[entry >= 0].tolist():
+            claims[i] += 1
+        return roots, entry
+
+    monkeypatch.setattr(sampling, "_sweep", recording)
+    gamma = contrast(g, trees, seed)
+    monkeypatch.setattr(sampling, "_sweep", sweep)
+    return gamma, claims
+
+
 def assert_sweeps_match_oracles(g, trees, seed, monkeypatch):
-    """Counts, parents, parent edges and depths of every sampler path
-    equal both per-tree oracles."""
+    """Parents, parent edges, depths and per-entry claim counts of every
+    sampler path equal both per-tree oracles."""
     seeds = subseeds(seed, trees)
-    roots, parent, parent_edge = sampling._sweep(g, seeds)
+    roots, entry = sampling._sweep(g, seeds)
+    # A claiming entry points from the parent to the vertex it claims.
+    claimed = entry >= 0
+    assert np.array_equal(g.adj_nbr[entry[claimed]], claimed.nonzero()[1])
+    assert np.array_equal((~claimed).sum(axis=1), np.ones(trees))
+    parent = np.repeat(roots[:, None], g.n, axis=1)
+    parent[claimed] = g.csr_src[entry[claimed]]
+    parent_edge = np.full((trees, g.n), -1)
+    parent_edge[claimed] = g.adj_eid[entry[claimed]]
     alone = [sample_bft(g, s) for s in seeds]
     counts = []
     for cap in CAPS:
         monkeypatch.setattr(sampling, "SWEEP_CAP", cap)
-        counts.append((directed_edge_counts(g, trees, seed),
-                       contrast(g, trees, seed)))
+        counts.append(swept_claims(g, trees, seed, monkeypatch))
+    # Entry u -> v is the tree edge with u nearer the root, which is the
+    # min_closer orientation iff u < v.
+    min_closer = g.csr_src < g.adj_nbr
     for oracle in (level_sync_bft, queue_bft):
         want = [oracle(g, s) for s in seeds]
         for t, (root, pa, pe, depth) in enumerate(want):
@@ -198,9 +220,9 @@ def assert_sweeps_match_oracles(g, trees, seed, monkeypatch):
                     == list(pe))
             assert alone[t].depth.tolist() == list(depth)
         min_c, max_c = orientation_counts(g, want)
-        for got, gamma in counts:
-            assert np.array_equal(got.min_closer, min_c)
-            assert np.array_equal(got.max_closer, max_c)
+        want_claims = np.where(min_closer, min_c[g.adj_eid], max_c[g.adj_eid])
+        for gamma, claims in counts:
+            assert np.array_equal(claims, want_claims)
             assert np.array_equal(gamma, np.minimum(min_c, max_c))
 
 
@@ -268,7 +290,7 @@ def test_sweep_width_follows_cap(cap, m, trees, widths, monkeypatch):
     monkeypatch.setattr(sampling, "_sweep",
                         lambda g, seeds: seen.append(len(seeds))
                         or sweep(g, seeds))
-    directed_edge_counts(g, trees, 3)
+    contrast(g, trees, 3)
     assert seen == widths
 
 
@@ -282,10 +304,10 @@ class TestErrorPaths:
     def test_disconnected_rejected(self, g, cap, monkeypatch):
         monkeypatch.setattr(sampling, "SWEEP_CAP", cap)
         for trees in (1, 3, 20):
-            for fn in (directed_edge_counts, contrast):
-                with pytest.raises(ValueError,
-                                   match="^graph is not connected$"):
-                    fn(g, trees, 7)
+            with pytest.raises(ValueError, match="^graph is not connected$"):
+                contrast(g, trees, 7)
+            with pytest.raises(ValueError, match="^graph is not connected$"):
+                sampling._sweep(g, subseeds(7, trees))
 
     @pytest.mark.parametrize("cap", CAPS)
     def test_single_vertex_draws_no_keys(self, cap, monkeypatch):
@@ -306,11 +328,11 @@ class TestErrorPaths:
         monkeypatch.setattr(np.random, "default_rng", Recording)
         g = Graph.from_edges(1, [])
         for trees in (1, 3, 20):
-            counts = directed_edge_counts(g, trees, 11)
-            assert counts.min_closer.shape == (0,)
-            assert counts.max_closer.shape == (0,)
+            roots, entry = sampling._sweep(g, subseeds(11, trees))
+            assert roots.tolist() == [0] * trees
+            assert entry.tolist() == [[-1]] * trees
             assert contrast(g, trees, 11).shape == (0,)
         assert sample_bft(g, 5).root == 0
         assert "random" not in drawn
-        directed_edge_counts(Graph.from_edges(2, [(0, 1)]), 3, 11)
+        contrast(Graph.from_edges(2, [(0, 1)]), 3, 11)
         assert "random" in drawn

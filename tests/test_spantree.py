@@ -124,6 +124,12 @@ class TestRootAndLabel:
         with pytest.raises(ValueError):
             root_and_label(c4, [0, 0, 1], root=0)
 
+    @pytest.mark.parametrize("edges", [[-1, 0], [0, 2], [1, 5]])
+    def test_edge_id_out_of_range_rejected(self, p3, edges):
+        # -1 would index the last edge, leaving a parent without an edge.
+        with pytest.raises(ValueError, match="^tree edge id out of range$"):
+            root_and_label(p3, edges, root=0)
+
 
 TREE_FIELDS = ("parent", "parent_edge", "depth", "label", "max_label",
                "preorder")
