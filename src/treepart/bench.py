@@ -70,8 +70,8 @@ def geometric_mean(values) -> float:
 
 
 def run_single(g: Graph, cfg: PartitionConfig, seed: int, *,
-               postprocess: bool = True, mcv_rounds: int = 20,
-               timing: bool = True) -> tuple[int, float, float, list[int]]:
+               postprocess: bool = True,
+               mcv_rounds: int = 20) -> tuple[int, float, float, list[int]]:
     """One seeded run: returns (mcv, cut before postprocessing, seconds, blocks)."""
     t0 = time.perf_counter()
     p = partition_multilevel(g, replace(cfg, seed=seed))
@@ -80,19 +80,18 @@ def run_single(g: Graph, cfg: PartitionConfig, seed: int, *,
         p = mcv_postprocess(g, p, rounds=mcv_rounds, epsilon=cfg.epsilon,
                             seed=seed)
     elapsed = time.perf_counter() - t0
-    return mcv(g, p), cut, (elapsed if timing else 0.0), p.block
+    return mcv(g, p), cut, elapsed, p.block
 
 
 def _run_job(args):
-    (g, name, cfg, runs, base_seed, postprocess, mcv_rounds, timing) = args
+    (g, name, cfg, runs, base_seed, postprocess, mcv_rounds) = args
     label = config_label(cfg)
     records = []
     best = None
     for r in range(runs):
         seed = base_seed + r
         mcv_val, cut, secs, blocks = run_single(
-            g, cfg, seed, postprocess=postprocess, mcv_rounds=mcv_rounds,
-            timing=timing)
+            g, cfg, seed, postprocess=postprocess, mcv_rounds=mcv_rounds)
         records.append(RunRecord(name, label, r, seed, mcv_val, cut, secs))
         key = (mcv_val, cut, r)
         if best is None or key < best[0]:
@@ -102,7 +101,7 @@ def _run_job(args):
 
 def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
                    postprocess: bool = True, mcv_rounds: int = 20,
-                   jobs: int = 1, timing: bool = True) -> ExperimentReport:
+                   jobs: int = 1) -> ExperimentReport:
     """Run the full (graph x config) grid.
 
     Each graph is parsed once and held until the grid ends; graphs that
@@ -114,6 +113,10 @@ def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
         raise ValueError("need at least one run")
     if not configs:
         raise ValueError("need at least one config")
+    if mcv_rounds < 0:
+        raise ValueError("mcv_rounds must be >= 0")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     graph_paths = list(graph_paths)
     names = [_graph_name(path) for path in graph_paths]
     dupes = sorted({name for name in names if names.count(name) > 1})
@@ -131,19 +134,14 @@ def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
             continue
         usable.append((g, name))
 
-    jobs_args = [(g, name, cfg, runs, base_seed, postprocess, mcv_rounds,
-                  timing) for g, name in usable for cfg in configs]
-    results = []
+    # Both paths return results in jobs_args order: (graph, config) order.
+    jobs_args = [(g, name, cfg, runs, base_seed, postprocess, mcv_rounds)
+                 for g, name in usable for cfg in configs]
     if jobs > 1 and len(jobs_args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_job, jobs_args))
     else:
         results = [_run_job(a) for a in jobs_args]
-
-    labels = [config_label(cfg) for cfg in configs]
-    label_order = {lab: i for i, lab in enumerate(labels)}
-    name_order = {name: i for i, name in enumerate(names)}
-    results.sort(key=lambda r: (name_order[r[0]], label_order[r[1]]))
 
     records: list[RunRecord] = []
     stats: list[ConfigStats] = []
@@ -162,6 +160,7 @@ def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
         }))
         best_blocks[(name, label)] = blocks
 
+    labels = [config_label(cfg) for cfg in configs]
     reference = labels[0]
     by_key = {(s.graph, s.config): s.values for s in stats}
     quotients: dict[tuple[str, str], dict[str, float]] = {}

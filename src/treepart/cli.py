@@ -54,8 +54,7 @@ def main(argv=None) -> int:
         report = run_experiment(
             args.graph, configs, args.runs, args.seed,
             postprocess=not args.no_postprocessing,
-            mcv_rounds=args.mcv_rounds, jobs=args.jobs,
-            timing=not args.no_timing)
+            mcv_rounds=args.mcv_rounds, jobs=args.jobs)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

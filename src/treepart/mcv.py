@@ -59,6 +59,8 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
     executed round count and the peak per-round adjacency touches (both 0
     when no round runs, e.g. on a graph without edges).
     """
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
     if not is_balanced(g, p, epsilon):
         raise ValueError("input partition violates the balance constraint")
     out = p.copy()
@@ -74,7 +76,7 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
 
     executed = 0
     max_touches = 0
-    for _ in range(max(0, rounds)):
+    for _ in range(rounds):
         boundary = [v for v in range(g.n) if ext[v] > 0]
         if not boundary:
             break

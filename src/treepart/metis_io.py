@@ -9,20 +9,19 @@ The input must be ASCII, and lines end only at '\n', as METIS reads them;
 a '\r' before it is whitespace. Vertex weights, and their total, must be
 below 2**53, so they are exact in float64 and in `balance_cap`.
 
-`parse_metis` splits each line once and converts the tokens with Python's
-own int() and float(), so the token grammar is Python's (minus digit-group
-underscores). Every other step is an array pass over all adjacency
-entries: range, self-loop and weight checks are boolean masks, and the
-symmetry check reduces the stable-sorted directed keys u*n + v to one
-(summed weight, count) per ordered pair and matches each pair with its
-reverse.
+Tokens are read with Python's int() and float(), so the token grammar is
+Python's (minus digit-group underscores). `parse_metis` reads the vertex
+lines in two passes: an array pass that only decides whether the input is
+valid, and a scalar pass, run on rejected input only, that names the first
+fault in file order. Faulty input need not be fast.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
-from operator import contains, itemgetter
+from itertools import chain
+from operator import itemgetter
+from typing import NoReturn
 
 import numpy as np
 
@@ -50,39 +49,6 @@ def _read(kind, token: str):
     raise MetisFormatError(f"invalid {name} token {token!r}")
 
 
-def _convert(kind, tokens: list[str], underscores: bool):
-    """(values, invalid): kind() of each token as an int64 or float64 array
-    and the mask of tokens _read would reject. A token that fails, or an
-    integer beyond int64, leaves a 0 in `values`."""
-    dtype = np.int64 if kind is int else np.float64
-    try:
-        values = np.fromiter(map(kind, tokens), dtype, len(tokens))
-        invalid = np.zeros(len(tokens), dtype=bool)
-    except (ValueError, OverflowError):
-        # Faulty input only: convert token by token to find the bad ones.
-        values = np.zeros(len(tokens), dtype)
-        invalid = np.zeros(len(tokens), dtype=bool)
-        for i, tok in enumerate(tokens):
-            try:
-                values[i] = kind(tok)
-            except ValueError:
-                invalid[i] = True
-            except OverflowError:
-                pass
-    if underscores:
-        invalid |= np.fromiter(map(contains, tokens, repeat("_")), bool,
-                               len(tokens))
-    return values, invalid
-
-
-def _first_fault(masks):
-    """(index, check) of the first True over `masks`, ties going to the
-    earlier mask; None when all are False."""
-    hits = [(int(i[0]), check) for check, mask in enumerate(masks)
-            if (i := np.flatnonzero(mask)[:1]).size]
-    return min(hits, default=None)
-
-
 def _header(lines: list[str]) -> tuple[int, int, bool, bool]:
     """(n, m, has vertex weights, has edge weights) from the first line."""
     header = lines[0].split() if lines else []
@@ -100,12 +66,9 @@ def _header(lines: list[str]) -> tuple[int, int, bool, bool]:
 
 
 def _merge_pairs(src, dst, w, n: int):
-    """(u, v, weight) per ordered pair (u, v) listed in the file, sorted by
-    (u, v), the weights of its parallel entries summed in file order.
-
-    Raises MetisFormatError unless each pair has a reverse with the same
-    entry count and summed weight; it names the failing pair listed first.
-    """
+    """(edges, weights) of the pairs u < v listed in the file, sorted, the
+    weights of parallel entries summed in file order; None unless each
+    ordered pair has a reverse with equal entry count and summed weight."""
     # The stable sort keeps file order within a pair; bincount then adds
     # each pair's weights one by one in that order.
     key = src * n + dst
@@ -128,16 +91,107 @@ def _merge_pairs(src, dst, w, n: int):
     if not (np.array_equal(reverse[back], pair_key)
             and np.array_equal(pair_cnt[back], pair_cnt)
             and np.array_equal(pair_w[back], pair_w)):
-        back = np.searchsorted(pair_key, reverse)
-        back[back == starts.size] = 0
-        ok = ((pair_key[back] == reverse) & (pair_cnt[back] == pair_cnt)
-              & (pair_w[back] == pair_w))
-        bad = np.flatnonzero(~ok)
-        i = bad[np.argmin(order[starts[bad]])]
+        return None
+    half = pair_u < pair_v
+    return np.column_stack((pair_u[half], pair_v[half])), pair_w[half]
+
+
+def _build(rows: list[list[str]], n: int, m: int, has_vweights: bool,
+           has_eweights: bool) -> Graph | None:
+    """The Graph of the split vertex lines `rows`, or None when any check
+    fails. Each token kind is converted in one pass; each check is a mask.
+    """
+    lens = np.fromiter(map(len, rows), np.int64, n)
+    pos = 1 if has_vweights else 0
+    step = 2 if has_eweights else 1
+    if np.any((lens < pos) | ((lens - pos) % step != 0)):
+        return None
+    src = np.repeat(np.arange(n, dtype=np.int64), (lens - pos) // step)
+    if src.size != 2 * m:
+        return None
+    if step == 1 and pos == 0:
+        id_tokens = chain.from_iterable(rows)
+    else:
+        id_tokens = chain.from_iterable(
+            map(itemgetter(slice(pos, None, step)), rows))
+    try:
+        ids = np.fromiter(map(int, id_tokens), np.int64, src.size)
+        if has_eweights:
+            w = np.fromiter(map(float, chain.from_iterable(
+                map(itemgetter(slice(pos + 1, None, 2)), rows))),
+                np.float64, src.size)
+        else:
+            w = np.ones(src.size)
+        cw = np.ones(n) if not has_vweights else np.fromiter(
+            map(float, map(itemgetter(0), rows)), np.float64, n)
+    except (ValueError, OverflowError):  # OverflowError: id beyond int64
+        return None
+    dst = ids - 1
+    if not (np.all((ids >= 1) & (ids <= n) & (dst != src))
+            and np.all((w > 0) & (w < math.inf))):
+        return None
+    if not (np.all((cw > 0) & (np.floor(cw) == cw) & (cw < WEIGHT_LIMIT))
+            and math.fsum(cw.tolist()) < WEIGHT_LIMIT):  # exact sum
+        return None
+    merged = _merge_pairs(src, dst, w, n)
+    if merged is None:
+        return None
+    try:
+        return Graph.from_edges(n, merged[0], edge_weights=merged[1],
+                                vertex_weights=cw.astype(np.int64))
+    except ValueError:  # all but the weight-overflow rule hold here
+        return None
+
+
+def _raise_first_fault(rows: list[list[str]], n: int, m: int,
+                       has_vweights: bool, has_eweights: bool) -> NoReturn:
+    """Raise MetisFormatError for the first fault in file order, reading
+    `rows` one line and one entry at a time."""
+    pos = 1 if has_vweights else 0
+    step = 2 if has_eweights else 1
+    total = 0
+    pairs: dict[tuple[int, int], list[float]] = {}  # 1-based (u, v): weights
+    for u, tokens in enumerate(rows, 1):
+        if has_vweights:
+            if not tokens:
+                raise MetisFormatError(f"vertex {u}: missing vertex weight")
+            cw = _read(float, tokens[0])
+            if not (cw > 0 and cw.is_integer()):
+                raise MetisFormatError(
+                    f"vertex {u}: vertex weight must be a positive integer")
+            if cw >= WEIGHT_LIMIT:
+                raise MetisFormatError(
+                    f"vertex {u}: vertex weight must be below 2**53")
+            total += int(cw)
+        if (len(tokens) - pos) % step:
+            raise MetisFormatError(f"vertex {u}: ragged adjacency line")
+        for k in range(pos, len(tokens), step):
+            v = _read(int, tokens[k])
+            if not 1 <= v <= n:
+                raise MetisFormatError(
+                    f"vertex {u}: neighbor id {v} out of range")
+            if v == u:
+                raise MetisFormatError(f"vertex {u}: self-loop")
+            w = _read(float, tokens[k + 1]) if has_eweights else 1.0
+            if not 0 < w < math.inf:
+                raise MetisFormatError(
+                    f"vertex {u}: edge weight must be positive and finite")
+            pairs.setdefault((u, v), []).append(w)
+    if total >= WEIGHT_LIMIT:
+        raise MetisFormatError("vertex weights sum to 2**53 or more")
+    entries = sum(map(len, pairs.values()))
+    if entries != 2 * m:
         raise MetisFormatError(
-            f"asymmetric adjacency between vertices {pair_u[i] + 1} and "
-            f"{pair_v[i] + 1}")
-    return pair_u, pair_v, pair_w
+            f"header claims {m} edges but file lists {entries} "
+            f"adjacency entries (expected {2 * m})")
+    for (u, v), ws in pairs.items():
+        back = pairs.get((v, u), [])
+        if len(back) != len(ws) or sum(back) != sum(ws):  # in file order
+            raise MetisFormatError(
+                f"asymmetric adjacency between vertices {u} and {v}")
+    # Every other rule holds, so Graph.from_edges rejected the weights.
+    raise MetisFormatError("edge weights overflow: merged weights and "
+                           "total volume must be finite")
 
 
 def parse_metis(text: str | bytes) -> Graph:
@@ -151,9 +205,9 @@ def parse_metis(text: str | bytes) -> Graph:
     or a header/edge-count mismatch; with several faults, on the first in
     file order.
 
-    Each vertex line is split once, and the tokens of all lines are
-    converted in one pass per kind (ids, edge weights, vertex weights).
-    The per-line and per-entry checks are masks over those arrays.
+    Each vertex line is split once. `_build` checks all tokens at once and
+    only decides; on input it rejects, or with '_' (always a bad token) in
+    a vertex line, `_raise_first_fault` names the first fault.
     """
     if not text.isascii():
         raise MetisFormatError("input is not ASCII")
@@ -172,88 +226,11 @@ def parse_metis(text: str | bytes) -> Graph:
         raise MetisFormatError(f"more than the {n} vertex lines")
 
     rows = list(map(str.split, body[:n]))
-    lens = np.fromiter(map(len, rows), np.int64, n)
-    pos = 1 if has_vweights else 0
-    step = 2 if has_eweights else 1
-    underscores = "_" in text
-    # Faults rank as (line, 0, check) for a vertex weight, (line, 1) for a
-    # broken line and (line, 2, entry, check) for an adjacency entry; the
-    # least is raised. The first line lacking its vertex weight or with an
-    # odd id/weight count ends the pass over the entries.
-    faults = []
-    broken = np.flatnonzero((lens < pos) | ((lens - pos) % step != 0))
-    stop = int(broken[0]) if broken.size else n
-    if stop < n:
-        what = ("missing vertex weight" if lens[stop] < pos
-                else "ragged adjacency line")
-        faults.append(((stop, 1), f"vertex {stop + 1}: {what}"))
-
-    if has_vweights:
-        vw_tokens = list(map(itemgetter(0), rows[:stop + (stop < n and
-                                                         lens[stop] > 0)]))
-        cw, invalid = _convert(float, vw_tokens, underscores)
-        whole = (cw > 0) & np.isfinite(cw) & (np.floor(cw) == cw)
-        fault = _first_fault((invalid, ~whole, cw >= WEIGHT_LIMIT))
-        if fault is not None:
-            u, check = fault
-            faults.append(((u, 0, check), (
-                f"invalid numeric token {vw_tokens[u]!r}",
-                f"vertex {u + 1}: vertex weight must be a positive integer",
-                f"vertex {u + 1}: vertex weight must be below 2**53",
-            )[check]))
-
-    src = np.repeat(np.arange(stop, dtype=np.int64),
-                    (lens[:stop] - pos) // step)
-    if step == 1 and pos == 0:
-        id_tokens = list(chain.from_iterable(rows[:stop]))
-    else:
-        id_tokens = list(chain.from_iterable(
-            map(itemgetter(slice(pos, None, step)), rows[:stop])))
-    ids, invalid = _convert(int, id_tokens, underscores)
-    masks = [invalid, (ids < 1) | (ids > n), ids - 1 == src]
-    if has_eweights:
-        w_tokens = list(chain.from_iterable(
-            map(itemgetter(slice(pos + 1, None, 2)), rows[:stop])))
-        w, invalid = _convert(float, w_tokens, underscores)
-        masks += [invalid, ~((w > 0) & (w < math.inf))]
-    else:
-        w = np.ones(len(id_tokens))
-    fault = _first_fault(masks)
-    if fault is not None:
-        k, check = fault
-        u = int(src[k])
-        if check == 0:
-            msg = f"invalid integer token {id_tokens[k]!r}"
-        elif check == 1:
-            msg = (f"vertex {u + 1}: neighbor id {int(id_tokens[k])} "
-                   "out of range")
-        elif check == 2:
-            msg = f"vertex {u + 1}: self-loop"
-        elif check == 3:
-            msg = f"invalid numeric token {w_tokens[k]!r}"
-        else:
-            msg = f"vertex {u + 1}: edge weight must be positive and finite"
-        faults.append(((u, 2, k, check), msg))
-    if faults:
-        raise MetisFormatError(min(faults)[1])
-
-    vertex_c = None
-    if has_vweights:
-        if math.fsum(cw.tolist()) >= WEIGHT_LIMIT:  # exact for integers
-            raise MetisFormatError("vertex weights sum to 2**53 or more")
-        vertex_c = cw.astype(np.int64)
-    if len(ids) != 2 * m_header:
-        raise MetisFormatError(
-            f"header claims {m_header} edges but file lists {len(ids)} "
-            f"adjacency entries (expected {2 * m_header})")
-
-    u, v, w = _merge_pairs(src, ids - 1, w, n)
-    half = u < v
-    try:
-        return Graph.from_edges(n, np.column_stack((u[half], v[half])),
-                                edge_weights=w[half], vertex_weights=vertex_c)
-    except ValueError as exc:  # all but the weight-overflow rule hold here
-        raise MetisFormatError(str(exc)) from None
+    if "_" not in "\n".join(body[:n]):
+        g = _build(rows, n, m_header, has_vweights, has_eweights)
+        if g is not None:
+            return g
+    _raise_first_fault(rows, n, m_header, has_vweights, has_eweights)
 
 
 def _fmt_weight(x: float) -> str:

@@ -173,6 +173,7 @@ def test_criterion_4_cond_matches_cut_enumeration():
            f"max |Cond - enumerated min| = {worst:.2e} over 500 instances")
 
 
+@pytest.mark.slow
 def test_criterion_5_mcv_postprocessing(desk_grid):
     runs, seconds = desk_grid
 
@@ -216,6 +217,7 @@ def test_criterion_5_mcv_postprocessing(desk_grid):
                   f"(budget 300s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_balance(desk_grid):
     runs, _ = desk_grid
     flags = [b for label in runs for b in runs[label]["balanced"]]
@@ -229,6 +231,7 @@ def test_criterion_6_balance(desk_grid):
                   f"emitted partitions")
 
 
+@pytest.mark.slow
 def test_criterion_7_rating_direction(desk_grid):
     runs, seconds = desk_grid
     q_exp2 = [a / b for a, b in

@@ -8,7 +8,7 @@ from treepart import (PartitionConfig, config_label, emit_csv, emit_table,
 
 
 def make_report(tmp_path, graphs=1, ratings=("excond",), runs=3, seed=5,
-                timing=False, n=120):
+                n=120):
     paths = []
     for i in range(graphs):
         g = generate_scale_free(n, 3, 100 + i)
@@ -17,7 +17,7 @@ def make_report(tmp_path, graphs=1, ratings=("excond",), runs=3, seed=5,
         paths.append(str(path))
     configs = [PartitionConfig(rating=r, trees=6, coarsest_size=30)
                for r in ratings]
-    return run_experiment(paths, configs, runs, seed, timing=timing)
+    return run_experiment(paths, configs, runs, seed)
 
 
 def test_geometric_mean_basics():
@@ -121,6 +121,5 @@ def test_parallel_jobs_match_serial(tmp_path):
     g0 = tmp_path / "g0.graph"
     g1 = tmp_path / "g1.graph"
     configs = [PartitionConfig(rating="excond", trees=6, coarsest_size=30)]
-    parallel = run_experiment([str(g0), str(g1)], configs, 2, 5,
-                              timing=False, jobs=2)
+    parallel = run_experiment([str(g0), str(g1)], configs, 2, 5, jobs=2)
     assert emit_csv(serial, timing=False) == emit_csv(parallel, timing=False)

@@ -120,6 +120,8 @@ def test_no_postprocessing_flag(tmp_path):
     (["--epsilon", "nan"], "epsilon must be >= 0"),
     (["--epsilon", "-1"], "epsilon must be >= 0"),
     (["--trees", "0"], "trees must be at least 1"),
+    (["--mcv-rounds", "-3"], "mcv_rounds must be >= 0"),
+    (["--jobs", "-2"], "jobs must be at least 1"),
 ])
 def test_degenerate_config_fails(tmp_path, capsys, flags, message):
     path = write_graph(tmp_path, n=40)

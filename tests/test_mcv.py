@@ -57,6 +57,11 @@ class TestPostprocess:
         out = mcv_postprocess(c4, p, rounds=5, epsilon=0.03, seed=1)
         assert mcv(c4, out) == 2  # every balanced split of C4 has MCV 2
 
+    def test_negative_rounds_rejected(self, c4):
+        p = Partition.from_blocks(c4, [0, 0, 1, 1])
+        with pytest.raises(ValueError, match="rounds must be >= 0"):
+            mcv_postprocess(c4, p, rounds=-1, epsilon=0.03, seed=1)
+
     def test_incremental_state_matches_scratch(self):
         rng = random.Random(23)
         checked = 0
