@@ -19,7 +19,7 @@ import numpy as np
 
 from .fundcut import all_fundamental_conductances
 from .graph import Graph, check_connected
-from .partition import Partition, balance_cap, is_balanced
+from .partition import Partition, balance_cap, check_partition, is_balanced
 from .rating import (algebraic_distance, cond_all_edges, ex_alg, ex_cond,
                      expansion_star2)
 from .sampling import contrast
@@ -193,7 +193,9 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
     to produce a new best prefix; the tail of a stalled sequence is nearly
     always reverted anyway, and skipping it keeps passes cheap on large
     graphs. Stops after a pass that improves neither balance nor cut.
+    Raises ValueError when p is malformed (see :func:`check_partition`).
     """
+    check_partition(g, p)
     out = p.copy()
     if g.n < 2 or g.m == 0:
         return out

@@ -24,19 +24,38 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, g: Graph, block) -> "Partition":
-        blk = np.asarray(block, dtype=np.int64)
-        if len(blk) != g.n:
-            raise ValueError("block array length must equal vertex count")
-        if blk.size and (blk.min() < 0 or blk.max() > 1):
-            raise ValueError("block ids must be 0 or 1")
-        weights = [int(g.vertex_c[blk == 0].sum()), int(g.vertex_c[blk == 1].sum())]
-        return cls(blk.tolist(), weights)
+        blk = _as_blocks(g, block)
+        return cls(blk.tolist(), _block_weights(g, blk))
 
     def copy(self) -> "Partition":
-        return Partition(self.block[:], self.block_weight[:])
+        """Independent lists, also when the fields are arrays or tuples."""
+        return Partition(list(self.block), list(self.block_weight))
 
     def block_array(self) -> np.ndarray:
         return np.asarray(self.block, dtype=np.int64)
+
+
+def _as_blocks(g: Graph, block) -> np.ndarray:
+    """`block` as an int64 array; ValueError unless it gives each of g's n
+    vertices the integer block 0 or 1 (floats such as 0.5 are not cast)."""
+    raw = np.asarray(block)
+    if raw.shape != (g.n,):
+        raise ValueError("block array length must equal vertex count")
+    if raw.dtype.kind not in "biu" or not ((raw == 0) | (raw == 1)).all():
+        raise ValueError("block ids must be 0 or 1")
+    return raw.astype(np.int64)
+
+
+def _block_weights(g: Graph, blk: np.ndarray) -> list[int]:
+    return [int(g.vertex_c[blk == 0].sum()), int(g.vertex_c[blk == 1].sum())]
+
+
+def check_partition(g: Graph, p: Partition) -> None:
+    """Raise ValueError unless p assigns each of g's n vertices to block 0
+    or 1 and p.block_weight equals the recounted block weights."""
+    if _block_weights(g, _as_blocks(g, p.block)) != list(p.block_weight):
+        raise ValueError("block_weight does not match the block weights "
+                         "recounted from block")
 
 
 def balance_cap(g: Graph, epsilon: float) -> float:

@@ -9,7 +9,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from treepart import Graph, MetisFormatError, RootedTree, sample_bft
+from treepart import (Graph, MetisFormatError, Partition, RootedTree,
+                      balance_cap, is_balanced, sample_bft)
 
 
 @pytest.fixture
@@ -44,6 +45,23 @@ def triangle():
 def star_plus():
     """Star 0-1 with 1-2, 1-3 plus the extra edge {2, 3}."""
     return Graph.from_edges(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
+
+
+def chorded_c6() -> Graph:
+    """6-cycle 0-1-2-3-4-5-0 with the chord {0, 3}."""
+    return Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
+                                (0, 5), (0, 3)])
+
+
+# Partitions of chorded_c6 that a refiner must reject, with the message.
+MALFORMED_PARTITIONS = [
+    pytest.param([0, 0, 0, 1, 1, 1], [0, 0], "block_weight", id="stale"),
+    pytest.param([0, 0, 0, 1, 1, 1], [4, 2], "block_weight", id="off"),
+    pytest.param([0, 0, 0, 1, 1, 2], [3, 3], "block ids", id="id-2"),
+    pytest.param([0, 0, 0, 1, 1, -1], [3, 3], "block ids", id="id-neg"),
+    pytest.param([0, 0, 0, 1, 1, 0.5], [3, 3], "block ids", id="id-half"),
+    pytest.param([0, 0, 0, 1, 1], [3, 2], "length", id="short"),
+]
 
 
 def random_connected_graph(rng: random.Random, n_lo: int = 3, n_hi: int = 12,
@@ -87,6 +105,89 @@ def external_degrees(g: Graph, block) -> list[int]:
     """Per-vertex count of neighbors in the other block, by adjacency scan."""
     return [sum(block[t] != block[v] for t in g.neighbors(v))
             for v in range(g.n)]
+
+
+def scalar_mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
+                           epsilon: float = 0.03, seed: int = 0,
+                           on_accept=None, stats: dict | None = None
+                           ) -> Partition:
+    """Oracle: MCV postprocessing that decides each move by scanning N(v).
+
+    Same move order, rules, `on_accept` calls and `stats["rounds"]` as
+    treepart.mcv_postprocess, but every decision counts the neighbours that
+    would become boundary or internal one adjacency entry at a time, so one
+    decision costs O(deg(v)). Its `max_round_touches` counts the snapshot
+    scan plus every adjacency entry read, and is not comparable.
+    """
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
+    if not is_balanced(g, p, epsilon):
+        raise ValueError("input partition violates the balance constraint")
+    out = p.copy()
+    cap = balance_cap(g, epsilon)
+    block = out.block
+    bw = out.block_weight
+    ext = external_degrees(g, block)
+    vols = [sum(1 for v in range(g.n) if ext[v] and block[v] == b)
+            for b in (0, 1)]
+    off = g.adj_off_list
+    nbr = g.adj_nbr_list
+    c = g.vertex_c.tolist()
+    rng = random.Random(seed)
+
+    executed = 0
+    max_touches = 0
+    for _ in range(rounds):
+        boundary = [v for v in range(g.n) if ext[v] > 0]
+        if not boundary:
+            break
+        rng.shuffle(boundary)
+        executed += 1
+        touches = g.n
+        accepted = 0
+        for v in boundary:
+            if ext[v] == 0:
+                continue
+            b = block[v]
+            o = 1 - b
+            if bw[o] + c[v] > cap or bw[b] == c[v]:
+                continue
+            same = 0
+            became_internal = 0
+            became_boundary = 0
+            touches += off[v + 1] - off[v]
+            for i in range(off[v], off[v + 1]):
+                t = nbr[i]
+                if block[t] == b:
+                    same += 1
+                    if ext[t] == 0:
+                        became_boundary += 1
+                elif ext[t] == 1:
+                    became_internal += 1
+            new_b = vols[b] + became_boundary - 1
+            new_o = vols[o] - became_internal + (1 if same else 0)
+            if max(new_b, new_o) > max(vols):
+                continue
+            block[v] = o
+            bw[b] -= c[v]
+            bw[o] += c[v]
+            vols[b] = new_b
+            vols[o] = new_o
+            touches += off[v + 1] - off[v]
+            for i in range(off[v], off[v + 1]):
+                t = nbr[i]
+                ext[t] += 1 if block[t] == b else -1
+            ext[v] = same
+            accepted += 1
+            if on_accept is not None:
+                on_accept(block, (vols[0], vols[1]), ext)
+        max_touches = max(max_touches, touches)
+        if not accepted:
+            break
+    if stats is not None:
+        stats["rounds"] = executed
+        stats["max_round_touches"] = max_touches
+    return out
 
 
 def cut_corpus(count: int = 1000, seed: int = 20240501):

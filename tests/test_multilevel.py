@@ -8,7 +8,8 @@ from treepart import (RATINGS, Graph, Partition, PartitionConfig,
                       contract, edge_cut, fm_refine, generate_scale_free,
                       greedy_matching, initial_bipartition, is_balanced,
                       partition_multilevel)
-from tests.conftest import random_balanced_blocks, random_connected_graph
+from tests.conftest import (MALFORMED_PARTITIONS, chorded_c6,
+                            random_balanced_blocks, random_connected_graph)
 
 
 def max_weight_matching_value(g, rating):
@@ -201,6 +202,11 @@ class TestFmRefine:
         refined = fm_refine(g, p, 0.03, max_passes=5)
         again = Partition.from_blocks(g, refined.block)
         assert refined.block_weight == again.block_weight
+
+    @pytest.mark.parametrize("block, weight, message", MALFORMED_PARTITIONS)
+    def test_malformed_partition_rejected(self, block, weight, message):
+        with pytest.raises(ValueError, match=message):
+            fm_refine(chorded_c6(), Partition(block, weight), 0.03, 10)
 
 
 class TestPartitionMultilevel:
