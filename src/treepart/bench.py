@@ -99,6 +99,12 @@ def _run_job(args):
     return name, label, records, best[1]
 
 
+def _reject_duplicates(what: str, names: list[str]) -> None:
+    dupes = sorted({name for name in names if names.count(name) > 1})
+    if dupes:
+        raise ValueError(f"duplicate {what}: {', '.join(dupes)}")
+
+
 def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
                    postprocess: bool = True, mcv_rounds: int = 20,
                    jobs: int = 1) -> ExperimentReport:
@@ -107,7 +113,9 @@ def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
     Each graph is parsed once and held until the grid ends; graphs that
     fail to parse or are disconnected are skipped and reported under
     `errors`. Two paths with the same name (file name without `.graph`)
-    are rejected. The first config is the reference for quotients.
+    are rejected, and so are two configs with the same `config_label`,
+    since rows and quotients are keyed by it. The first config is the
+    reference for quotients.
     """
     if runs < 1:
         raise ValueError("need at least one run")
@@ -117,11 +125,10 @@ def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
         raise ValueError("mcv_rounds must be >= 0")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    _reject_duplicates("config labels", [config_label(c) for c in configs])
     graph_paths = list(graph_paths)
     names = [_graph_name(path) for path in graph_paths]
-    dupes = sorted({name for name in names if names.count(name) > 1})
-    if dupes:
-        raise ValueError(f"duplicate graph names: {', '.join(dupes)}")
+    _reject_duplicates("graph names", names)
     usable = []
     errors: list[tuple[str, str]] = []
     for path, name in zip(graph_paths, names):

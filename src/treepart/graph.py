@@ -181,28 +181,54 @@ def check_connected(g: Graph) -> bool:
     return g.is_connected
 
 
+def _boruvka(g: Graph, ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Borůvka hooking with pointer jumping (Shiloach & Vishkin 1982).
+
+    `ranked` lists the edge ids from least to greatest. Every round, each
+    component takes its least outgoing edge, so the number of components at
+    least halves. Returns (taken, comp): taken[e] marks the minimum spanning
+    forest under that order, and comp[v] names v's component by one of its
+    vertices.
+    """
+    ids = ranked  # live edges in order; a position is a rank
+    eu, ev = g.edge_u[ids], g.edge_v[ids]
+    vertex = np.arange(g.n)
+    comp = vertex
+    taken = np.zeros(g.m, dtype=bool)
+    while True:
+        cu, cv = comp[eu], comp[ev]
+        live = cu != cv
+        if not live.any():
+            break
+        ids, eu, ev, cu, cv = ids[live], eu[live], ev[live], cu[live], cv[live]
+        rank = np.arange(len(ids))
+        best = np.full(g.n, len(ids))
+        np.minimum.at(best, cu, rank)
+        np.minimum.at(best, cv, rank)
+        heads = np.flatnonzero(best < len(ids))
+        pick = best[heads]
+        taken[ids[pick]] = True
+        ptr = vertex.copy()
+        ptr[heads] = cu[pick] + cv[pick] - heads  # the other end's component
+        # Two components that took the same edge point at each other; the
+        # smaller id becomes the root. Pointer jumping flattens the rest: no
+        # chain has more than len(heads) links.
+        ptr = np.where(ptr[ptr] == vertex, np.minimum(ptr, vertex), ptr)
+        for _ in range(len(heads).bit_length()):
+            ptr = ptr[ptr]
+        comp = ptr[comp]
+    return taken, comp
+
+
 def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, each in BFS order."""
-    off = g.adj_off_list
-    nbr = g.adj_nbr_list
-    seen = bytearray(g.n)
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = 1
-        comp = [s]
-        head = 0
-        while head < len(comp):
-            u = comp[head]
-            head += 1
-            for i in range(off[u], off[u + 1]):
-                t = nbr[i]
-                if not seen[t]:
-                    seen[t] = 1
-                    comp.append(t)
-        comps.append(comp)
-    return comps
+    """Vertex lists of the connected components, each in ascending id, and
+    the components ordered by their smallest vertex."""
+    _, comp = _boruvka(g, np.arange(g.m))
+    order = np.argsort(comp, kind="stable")
+    cuts = [0, *(np.flatnonzero(np.diff(comp[order])) + 1).tolist(), g.n]
+    verts = order.tolist()
+    # Disjoint lists compare by their first, i.e. smallest, vertex.
+    return sorted(verts[i:j] for i, j in zip(cuts, cuts[1:]))
 
 
 def largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
@@ -212,8 +238,7 @@ def largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
     original ids. Intended as preprocessing for inputs that are not connected.
     """
     comps = connected_components(g)
-    keep = max(comps, key=len)
-    keep.sort()
+    keep = max(comps, key=len)  # ties: the one with the least vertex
     old_ids = np.asarray(keep, dtype=np.int64)
     new_id = -np.ones(g.n, dtype=np.int64)
     new_id[old_ids] = np.arange(len(keep))

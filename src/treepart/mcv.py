@@ -80,12 +80,11 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
     cross-check the incremental bookkeeping. Raises ValueError when p is
     malformed (see :func:`check_partition`) or unbalanced, or rounds < 0.
     """
-    check_partition(g, p)
+    out = check_partition(g, p)
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    if not is_balanced(g, p, epsilon):
+    if not is_balanced(g, out, epsilon):
         raise ValueError("input partition violates the balance constraint")
-    out = p.copy()
     cap = balance_cap(g, epsilon)
     n = g.n
     block = out.block

@@ -102,9 +102,12 @@ def contract(g: Graph, mate: np.ndarray) -> tuple[Graph, np.ndarray]:
 
     Vertex weights add up, parallel edges merge with summed weights, and
     self-loops vanish. Returns the coarse graph and the fine-to-coarse
-    vertex map.
+    vertex map. Raises ValueError unless `mate` has one entry in [-1, n)
+    per vertex and pairs them symmetrically.
     """
     mate = np.asarray(mate, dtype=np.int64)
+    if mate.shape != (g.n,) or mate.min() < -1 or mate.max() >= g.n:
+        raise ValueError("mate must hold one entry in [-1, n) per vertex")
     ids = np.arange(g.n)
     ok = (mate < 0) | ((mate != ids) & (mate[np.maximum(mate, 0)] == ids))
     if not ok.all():
@@ -132,14 +135,17 @@ def initial_bipartition(g: Graph, epsilon: float, attempts: int,
     Each attempt grows block 0 from a random vertex until it reaches half
     the total weight, never adding a vertex that would break the balance
     cap. Balanced attempts are ranked by cut weight; if none is balanced the
-    least-imbalanced attempt is returned (with a warning).
+    least-imbalanced attempt is returned (with a warning). Raises
+    ValueError when attempts < 1 or epsilon is not >= 0.
     """
+    if attempts < 1:
+        raise ValueError(f"attempts must be at least 1, got {attempts}")
+    cap = balance_cap(g, epsilon)
     n = g.n
     if n == 1:
         return Partition.from_blocks(g, [0])
     total = int(g.vertex_c.sum())
     target = math.ceil(total / 2)
-    cap = balance_cap(g, epsilon)
     c = g.vertex_c.tolist()
     off = g.adj_off_list
     nbr = g.adj_nbr_list
@@ -147,7 +153,7 @@ def initial_bipartition(g: Graph, epsilon: float, attempts: int,
 
     best_key = None
     best_block = None
-    for attempt in range(max(1, attempts)):
+    for attempt in range(attempts):
         start = rng.randrange(n)
         block = [1] * n
         w0 = 0
@@ -193,14 +199,16 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
     to produce a new best prefix; the tail of a stalled sequence is nearly
     always reverted anyway, and skipping it keeps passes cheap on large
     graphs. Stops after a pass that improves neither balance nor cut.
-    Raises ValueError when p is malformed (see :func:`check_partition`).
+    Raises ValueError when p is malformed (see :func:`check_partition`),
+    max_passes < 0 or epsilon is not >= 0.
     """
-    check_partition(g, p)
-    out = p.copy()
+    out = check_partition(g, p)
+    if max_passes < 0:
+        raise ValueError(f"max_passes must be >= 0, got {max_passes}")
+    cap = balance_cap(g, epsilon)
     if g.n < 2 or g.m == 0:
         return out
     stall_limit = max(100, g.n // 25)
-    cap = balance_cap(g, epsilon)
     block = out.block
     bw = out.block_weight
     off = g.adj_off_list
@@ -209,7 +217,7 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
     c = g.vertex_c.tolist()
     wdeg = g.weighted_degree.tolist()
 
-    for _ in range(max(0, max_passes)):
+    for _ in range(max_passes):
         blk = np.asarray(block)
         cross = blk[g.edge_u] != blk[g.edge_v]
         start_cut = float(g.edge_w[cross].sum())
@@ -287,7 +295,7 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
             bw[b] += c[v]
         if best[:2] >= start[:2]:
             break
-    return Partition.from_blocks(g, block)
+    return out
 
 
 def partition_multilevel(g: Graph, cfg: PartitionConfig) -> Partition:
@@ -316,7 +324,8 @@ def partition_multilevel(g: Graph, cfg: PartitionConfig) -> Partition:
                             rng.getrandbits(64))
     p = fm_refine(cur, p, cfg.epsilon, MAX_FM_PASSES)
     for fine, cmap in reversed(levels):
-        p = Partition.from_blocks(fine, p.block_array()[cmap])
+        # Contraction adds up vertex weights, so the block weights carry over.
+        p = Partition(p.block_array()[cmap].tolist(), list(p.block_weight))
         p = fm_refine(fine, p, cfg.epsilon, MAX_FM_PASSES)
     if not is_balanced(g, p, cfg.epsilon):
         logger.warning("final partition violates the balance constraint "

@@ -50,16 +50,24 @@ def _block_weights(g: Graph, blk: np.ndarray) -> list[int]:
     return [int(g.vertex_c[blk == 0].sum()), int(g.vertex_c[blk == 1].sum())]
 
 
-def check_partition(g: Graph, p: Partition) -> None:
+def check_partition(g: Graph, p: Partition) -> Partition:
     """Raise ValueError unless p assigns each of g's n vertices to block 0
-    or 1 and p.block_weight equals the recounted block weights."""
-    if _block_weights(g, _as_blocks(g, p.block)) != list(p.block_weight):
+    or 1 and p.block_weight equals the recounted block weights. Returns a
+    copy of p whose fields are fresh lists of Python ints."""
+    blk = _as_blocks(g, p.block)
+    weights = _block_weights(g, blk)
+    if weights != list(p.block_weight):
         raise ValueError("block_weight does not match the block weights "
                          "recounted from block")
+    return Partition(blk.tolist(), weights)
 
 
 def balance_cap(g: Graph, epsilon: float) -> float:
-    """Largest allowed block weight: (1 + epsilon) * ceil(total / 2)."""
+    """Largest allowed block weight: (1 + epsilon) * ceil(total / 2).
+
+    Raises ValueError when epsilon is negative or NaN."""
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     total = int(g.vertex_c.sum())
     return (1.0 + epsilon) * math.ceil(total / 2)
 

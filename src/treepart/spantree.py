@@ -7,7 +7,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _boruvka
 
 
 @dataclass(eq=False)
@@ -41,44 +41,16 @@ def minimum_spanning_tree(g: Graph, values: Sequence[float]) -> np.ndarray:
     """Sorted edge ids of the minimum spanning tree under the strict order
     (value, edge id).
 
-    Borůvka: every round, each component takes its least outgoing edge, so
-    the number of components at least halves. The order is strict, so the
-    tree is unique and is the one Kruskal builds with ties broken by id.
+    Built by Borůvka hooking (see graph._boruvka). The order is strict, so
+    the tree is unique and is the one Kruskal builds with ties broken by id.
     """
     vals = np.asarray(values, dtype=np.float64)
     if len(vals) != g.m:
         raise ValueError("values length must equal edge count")
     if not np.all(np.isfinite(vals)):
         raise ValueError("edge values must be finite")
-    # Live edges in ascending (value, id) order; a position is a rank.
-    ids = np.argsort(vals, kind="stable")
-    eu, ev = g.edge_u[ids], g.edge_v[ids]
-    vertex = np.arange(g.n)
-    comp = vertex  # each component is named by one of its vertices
-    chosen = np.zeros(g.m, dtype=bool)
-    while True:
-        cu, cv = comp[eu], comp[ev]
-        live = cu != cv
-        if not live.any():
-            break
-        ids, eu, ev, cu, cv = ids[live], eu[live], ev[live], cu[live], cv[live]
-        rank = np.arange(len(ids))
-        best = np.full(g.n, len(ids))
-        np.minimum.at(best, cu, rank)
-        np.minimum.at(best, cv, rank)
-        heads = np.flatnonzero(best < len(ids))
-        pick = best[heads]
-        chosen[ids[pick]] = True
-        ptr = vertex.copy()
-        ptr[heads] = cu[pick] + cv[pick] - heads  # the other end's component
-        # Two components that took the same edge point at each other; the
-        # smaller id becomes the root. Pointer jumping flattens the rest: no
-        # chain has more than len(heads) links.
-        ptr = np.where(ptr[ptr] == vertex, np.minimum(ptr, vertex), ptr)
-        for _ in range(len(heads).bit_length()):
-            ptr = ptr[ptr]
-        comp = ptr[comp]
-    tree = np.flatnonzero(chosen)
+    taken, _ = _boruvka(g, np.argsort(vals, kind="stable"))
+    tree = np.flatnonzero(taken)
     if len(tree) != g.n - 1:
         raise ValueError("graph is not connected")
     return tree

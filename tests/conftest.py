@@ -330,6 +330,18 @@ class UnionFind:
         return True
 
 
+def union_find_components(g: Graph) -> list[list[int]]:
+    """Oracle: components by union-find over the edges, each in ascending
+    id, ordered by their smallest vertex."""
+    uf = UnionFind(g.n)
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+        uf.union(u, v)
+    groups: dict[int, list[int]] = {}
+    for v in range(g.n):
+        groups.setdefault(uf.find(v), []).append(v)
+    return list(groups.values())
+
+
 def kruskal_mst(g: Graph, values) -> np.ndarray:
     """Oracle: Kruskal over edges in (value, edge id) order with a
     union-find. Returns the sorted tree edge ids; raises ValueError if the

@@ -109,6 +109,15 @@ def test_duplicate_graph_names_rejected(tmp_path):
         run_experiment([str(p) for p in paths], [PartitionConfig()], 1, 0)
 
 
+def test_duplicate_config_labels_rejected(tmp_path):
+    path = tmp_path / "x.graph"
+    save_metis(generate_scale_free(40, 2, 1), path)
+    configs = [PartitionConfig(rating="exp2", epsilon=0.03),
+               PartitionConfig(rating="exp2", epsilon=0.5)]
+    with pytest.raises(ValueError, match="duplicate config labels: exp2"):
+        run_experiment([str(path)], configs, 1, 0)
+
+
 def test_best_blocks_are_recorded(tmp_path):
     report = make_report(tmp_path)
     blocks = report.best_blocks[("g0", "excond6")]

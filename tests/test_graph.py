@@ -1,11 +1,15 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treepart import Graph, check_connected, largest_component, volume
+from treepart import (Graph, check_connected, connected_components,
+                      largest_component, volume)
 from treepart import graph as graph_module
-from tests.conftest import random_connected_graph
+from tests.conftest import random_connected_graph, union_find_components
+from tests.test_spantree import family_graph, strip
 
 
 class TestConstruction:
@@ -151,3 +155,132 @@ class TestConnectivity:
         assert list(old) == [0, 1, 2]
         assert list(sub.vertex_c) == [1, 2, 3]
         assert sorted(sub.edge_w) == [2, 3]
+
+
+def assert_components_match_oracle(g):
+    """Borůvka's components equal union-find's: the same vertex sets, each
+    in ascending id, ordered by their smallest vertex; and largest_component
+    returns the induced subgraph of the largest, on ties the one with the
+    least vertex."""
+    comps = connected_components(g)
+    assert comps == union_find_components(g)
+    assert all(c == sorted(c) for c in comps)
+    assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+    assert check_connected(g) == (len(comps) == 1)
+
+    keep = min(comps, key=lambda c: (-len(c), c[0]))
+    sub, old = largest_component(g)
+    assert old.dtype == np.int64 and old.tolist() == keep
+    assert sub.vertex_c.tolist() == g.vertex_c[old].tolist()
+    inside = np.isin(g.edge_u, old) & np.isin(g.edge_v, old)
+    assert old[sub.edge_u].tolist() == g.edge_u[inside].tolist()
+    assert old[sub.edge_v].tolist() == g.edge_v[inside].tolist()
+    assert sub.edge_w.tolist() == g.edge_w[inside].tolist()
+    return comps
+
+
+def relabelled_union(parts, rng):
+    """Disjoint union of graphs, vertex ids shuffled, random vertex weights."""
+    n = sum(h.n for h in parts)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges, weights, base = [], [], 0
+    for h in parts:
+        edges += [(ids[base + u], ids[base + v])
+                  for u, v in zip(h.edge_u.tolist(), h.edge_v.tolist())]
+        weights += h.edge_w.tolist()
+        base += h.n
+    return Graph.from_edges(n, edges, edge_weights=weights,
+                            vertex_weights=[rng.randint(1, 5)
+                                            for _ in range(n)])
+
+
+def random_forest(n, rng):
+    """Each vertex but the first hangs off an earlier one with prob. 0.8."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return Graph.from_edges(n, [(ids[rng.randrange(i)], ids[i])
+                                for i in range(1, n) if rng.random() < 0.8])
+
+
+class TestComponentsMatchUnionFind:
+    def test_random_connected_graphs(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            g = random_connected_graph(rng, n_lo=1, n_hi=30)
+            assert assert_components_match_oracle(g) == [list(range(g.n))]
+
+    def test_disjoint_unions(self):
+        rng = random.Random(42)
+        for _ in range(100):
+            parts = [random_connected_graph(rng, n_lo=1, n_hi=10)
+                     for _ in range(rng.randint(2, 5))]
+            g = relabelled_union(parts, rng)
+            assert len(assert_components_match_oracle(g)) == len(parts)
+
+    def test_forests(self):
+        rng = random.Random(43)
+        for n in (2, 5, 20, 100, 2000):
+            for _ in range(5):
+                assert_components_match_oracle(random_forest(n, rng))
+
+    def test_edgeless_graphs(self):
+        for n in (1, 2, 5, 1000):
+            g = Graph.from_edges(n, [])
+            assert assert_components_match_oracle(g) == [[v] for v in range(n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_graph_on_up_to_three_vertices(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        for k in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, k):
+                assert_components_match_oracle(Graph.from_edges(n, edges))
+
+    @pytest.mark.parametrize("name", ["path", "star", "caterpillar"])
+    def test_tree_families_with_chords(self, name):
+        rng = random.Random(44)
+        for n in (4, 50, 3000):
+            g = family_graph(name, n, rng)
+            assert len(assert_components_match_oracle(g)) == 1
+            two = relabelled_union([g, family_graph(name, n, rng)], rng)
+            assert len(assert_components_match_oracle(two)) == 2
+
+    def test_strips(self):
+        rng = random.Random(45)
+        for k in (1, 7, 150):
+            for g in (strip(k), strip(k, rng),
+                      relabelled_union([strip(k), strip(k + 1)], rng)):
+                assert_components_match_oracle(g)
+
+    def test_largest_component_tie_takes_least_vertex(self):
+        # {0, 4, 5} and {1, 2, 3} tie; the lighter one holds vertex 0.
+        g = Graph.from_edges(6, [(1, 2), (2, 3), (0, 5), (4, 5)],
+                             vertex_weights=[1, 9, 9, 9, 1, 1])
+        assert assert_components_match_oracle(g) == [[0, 4, 5], [1, 2, 3]]
+        assert largest_component(g)[1].tolist() == [0, 4, 5]
+
+
+@st.composite
+def multi_component_graphs(draw):
+    """1-4 components, each a random spanning tree plus extra edges, on
+    shuffled vertex ids."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    ids = draw(st.permutations(range(sum(sizes))))
+    edges, base = set(), 0
+    for size in sizes:
+        part = ids[base:base + size]
+        base += size
+        for i in range(1, size):
+            edges.add(tuple(sorted((part[draw(st.integers(0, i - 1))],
+                                    part[i]))))
+        pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        edges |= {tuple(sorted((part[a], part[b])))
+                  for a, b in draw(st.lists(pair, max_size=15)) if a != b}
+    return Graph.from_edges(len(ids), sorted(edges)), len(sizes)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(multi_component_graphs())
+def test_components_match_union_find_property(case):
+    g, k = case
+    assert len(assert_components_match_oracle(g)) == k

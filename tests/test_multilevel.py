@@ -108,6 +108,13 @@ class TestContract:
         with pytest.raises(ValueError, match="symmetric"):
             contract(p3, np.array([-1, 1, -1]))
 
+    @pytest.mark.parametrize("mate", [[5, -1, -1], [-1, -2, -1], [1, 0],
+                                      [[1, 0, -1]]],
+                             ids=["past-n", "below-minus-one", "short", "2d"])
+    def test_mate_outside_range_or_shape_rejected(self, p3, mate):
+        with pytest.raises(ValueError, match=r"one entry in \[-1, n\)"):
+            contract(p3, np.array(mate))
+
     def test_coarse_ids_follow_pair_leaders(self):
         # Coarse ids are handed out in ascending order of each pair's
         # smaller vertex, as a sequential scan over the vertices would.
@@ -158,6 +165,12 @@ class TestInitialBipartition:
         assert "no balanced initial bipartition" in caplog.text
         assert sorted(p.block_weight) == [1, 3]
 
+    @pytest.mark.parametrize("attempts", [0, -7])
+    def test_attempts_below_one_rejected(self, attempts):
+        for g in (generate_scale_free(200, 2, 1), Graph.from_edges(1, [])):
+            with pytest.raises(ValueError, match="attempts must be at least 1"):
+                initial_bipartition(g, 0.03, attempts, 0)
+
 
 class TestFmRefine:
     def test_p4_interleaved_blocks_fixed(self, p4):
@@ -207,6 +220,12 @@ class TestFmRefine:
     def test_malformed_partition_rejected(self, block, weight, message):
         with pytest.raises(ValueError, match=message):
             fm_refine(chorded_c6(), Partition(block, weight), 0.03, 10)
+
+    def test_negative_max_passes_rejected(self):
+        g = generate_scale_free(200, 2, 1)
+        p = Partition.from_blocks(g, [0] * 100 + [1] * 100)
+        with pytest.raises(ValueError, match="max_passes must be >= 0"):
+            fm_refine(g, p, 0.03, -4)
 
 
 class TestPartitionMultilevel:
