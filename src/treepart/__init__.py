@@ -13,7 +13,7 @@ from .bench import (ExperimentReport, RunRecord, config_label, emit_csv,
 from .fundcut import all_fundamental_conductances
 from .generators import generate_scale_free
 from .graph import (Graph, check_connected, connected_components,
-                    largest_component, volume)
+                    largest_component)
 from .mcv import comm_volumes, edge_cut, mcv, mcv_postprocess
 from .metis_io import (MetisFormatError, load_metis, parse_metis, save_metis,
                        serialize_metis, write_partition)
@@ -38,6 +38,6 @@ __all__ = [
     "is_balanced", "largest_component", "lca", "load_metis", "mcv",
     "mcv_postprocess", "minimum_spanning_tree", "parse_metis",
     "partition_multilevel", "root_and_label", "run_experiment",
-    "run_single", "sample_bft", "save_metis", "serialize_metis", "volume",
+    "run_single", "sample_bft", "save_metis", "serialize_metis",
     "write_partition",
 ]

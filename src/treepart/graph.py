@@ -153,28 +153,6 @@ class Graph:
         """True iff the graph has a single connected component."""
         return len(connected_components(self)) == 1
 
-    @cached_property
-    def edge_ids(self) -> dict[tuple[int, int], int]:
-        """Map from (min endpoint, max endpoint) to canonical edge id."""
-        return {(int(u), int(v)): e
-                for e, (u, v) in enumerate(zip(self.edge_u, self.edge_v))}
-
-    def neighbors(self, v: int) -> list[int]:
-        return self.adj_nbr[self.adj_off[v]:self.adj_off[v + 1]].tolist()
-
-
-def volume(g: Graph, vertices: Iterable[int]) -> float:
-    """Total weighted degree of a vertex set.
-
-    Edges with both endpoints inside the set count twice, once per endpoint.
-    """
-    idx = np.fromiter(vertices, dtype=np.int64)
-    if idx.size == 0:
-        return 0.0
-    if idx.min() < 0 or idx.max() >= g.n:
-        raise ValueError("vertex id out of range")
-    return float(g.weighted_degree[idx].sum())
-
 
 def check_connected(g: Graph) -> bool:
     """True iff the graph has a single connected component (cached on g)."""
@@ -211,11 +189,12 @@ def _boruvka(g: Graph, ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ptr = vertex.copy()
         ptr[heads] = cu[pick] + cv[pick] - heads  # the other end's component
         # Two components that took the same edge point at each other; the
-        # smaller id becomes the root. Pointer jumping flattens the rest: no
-        # chain has more than len(heads) links.
+        # smaller id becomes the root. Pointer jumping flattens the rest
+        # until every vertex points at its root.
         ptr = np.where(ptr[ptr] == vertex, np.minimum(ptr, vertex), ptr)
-        for _ in range(len(heads).bit_length()):
-            ptr = ptr[ptr]
+        jumped = ptr[ptr]
+        while (jumped != ptr).any():
+            ptr, jumped = jumped, jumped[jumped]
         comp = ptr[comp]
     return taken, comp
 

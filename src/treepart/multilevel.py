@@ -102,12 +102,16 @@ def contract(g: Graph, mate: np.ndarray) -> tuple[Graph, np.ndarray]:
 
     Vertex weights add up, parallel edges merge with summed weights, and
     self-loops vanish. Returns the coarse graph and the fine-to-coarse
-    vertex map. Raises ValueError unless `mate` has one entry in [-1, n)
-    per vertex and pairs them symmetrically.
+    vertex map. Raises ValueError unless `mate` has one integer entry in
+    [-1, n) per vertex (floats such as 1.9 are not cast) and pairs them
+    symmetrically.
     """
-    mate = np.asarray(mate, dtype=np.int64)
-    if mate.shape != (g.n,) or mate.min() < -1 or mate.max() >= g.n:
+    raw = np.asarray(mate)
+    if raw.shape == (g.n,) and raw.dtype.kind not in "biu":
+        raise ValueError(f"mate entries must be integers, got {raw.dtype}")
+    if raw.shape != (g.n,) or raw.min() < -1 or raw.max() >= g.n:
         raise ValueError("mate must hold one entry in [-1, n) per vertex")
+    mate = raw.astype(np.int64)
     ids = np.arange(g.n)
     ok = (mate < 0) | ((mate != ids) & (mate[np.maximum(mate, 0)] == ids))
     if not ok.all():
@@ -201,6 +205,14 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
     graphs. Stops after a pass that improves neither balance nor cut.
     Raises ValueError when p is malformed (see :func:`check_partition`),
     max_passes < 0 or epsilon is not >= 0.
+
+    The candidates are ordered by (cut change, stamp). A pass starts them
+    as one sorted run: the boundary vertices in vertex-id order take the
+    stamps 0, 1, ..., and a stable argsort of their cut changes orders
+    them. Entries pushed during the pass go to a heap with later stamps,
+    so each pop takes the run head unless the heap top has a strictly
+    smaller cut change. That is the pop order of a single heap holding
+    both, since no two entries share a stamp.
     """
     out = check_partition(g, p)
     if max_passes < 0:
@@ -209,51 +221,62 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
     if g.n < 2 or g.m == 0:
         return out
     stall_limit = max(100, g.n // 25)
-    block = out.block
+    block = bytearray(out.block)
+    blk = np.frombuffer(block, dtype=np.uint8)
     bw = out.block_weight
     off = g.adj_off_list
     nbr = g.adj_nbr_list
     w = g.adj_w_list
     c = g.vertex_c.tolist()
     wdeg = g.weighted_degree.tolist()
+    heappop = heapq.heappop
+    heappush = heapq.heappush
 
     for _ in range(max_passes):
-        blk = np.asarray(block)
         cross = blk[g.edge_u] != blk[g.edge_v]
-        start_cut = float(g.edge_w[cross].sum())
-        across = (np.bincount(g.edge_u[cross], weights=g.edge_w[cross],
-                              minlength=g.n)
-                  + np.bincount(g.edge_v[cross], weights=g.edge_w[cross],
-                                minlength=g.n)).tolist()
+        cw = g.edge_w[cross]
+        start_cut = float(cw.sum())
+        acr = (np.bincount(g.edge_u[cross], weights=cw, minlength=g.n)
+               + np.bincount(g.edge_v[cross], weights=cw, minlength=g.n))
+        across = acr.tolist()
+        bnd = np.flatnonzero(acr > 0)
+        gain = g.weighted_degree[bnd] - 2.0 * acr[bnd]
+        order = np.argsort(gain, kind="stable")
+        rg = gain[order].tolist()
+        rv = bnd[order].tolist()
+        nrun = len(rv)
+        ptr = 0
 
-        # Heap entries carry the gain at push time. Improved gains push a
+        # Entries carry the cut change at push time. Improved gains push a
         # fresh entry right away; worsened ones are caught by comparing the
         # popped entry against the current gain and re-pushing.
         heap: list[tuple[float, int, int]] = []
-        stamp = 0
-        for v in range(g.n):
-            if across[v] > 0:
-                heap.append((wdeg[v] - 2.0 * across[v], stamp, v))
-                stamp += 1
-        heapq.heapify(heap)
-
+        stamp = nrun
         moved = bytearray(g.n)
         seq: list[int] = []
         cur = start_cut
         # Best prefix by (over the cap, cut, heavier block weight): a
         # balanced prefix beats any unbalanced one, and equal-cut prefixes
         # prefer the more balanced state.
-        best = start = (max(bw) > cap, start_cut, float(max(bw)))
+        heavy = bw[0] if bw[0] > bw[1] else bw[1]
+        best = start = (heavy > cap, start_cut, float(heavy))
         best_len = 0
         since_best = 0
-        while heap and since_best < stall_limit:
-            neg_gain, _, v = heapq.heappop(heap)
+        while since_best < stall_limit:
+            if ptr < nrun and (not heap or rg[ptr] <= heap[0][0]):
+                neg_gain = rg[ptr]
+                v = rv[ptr]
+                ptr += 1
+            elif heap:
+                neg_gain, _, v = heappop(heap)
+            else:
+                break
             if moved[v]:
                 continue
             current = wdeg[v] - 2.0 * across[v]
             if neg_gain != current:
                 if across[v] > 0:
-                    heapq.heappush(heap, (current, stamp, v))
+                    heappush(heap, (current, stamp, v))
                     stamp += 1
                 continue
             b = block[v]
@@ -266,7 +289,8 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
             bw[o] += c[v]
             cur += neg_gain
             seq.append(v)
-            key = (max(bw) > cap, cur, float(max(bw)))
+            heavy = bw[0] if bw[0] > bw[1] else bw[1]
+            key = (heavy > cap, cur, float(heavy))
             if key < best:
                 best = key
                 best_len = len(seq)
@@ -282,8 +306,7 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
                 else:
                     across[t] += wt
                     if not moved[t]:
-                        heapq.heappush(
-                            heap, (wdeg[t] - 2.0 * across[t], stamp, t))
+                        heappush(heap, (wdeg[t] - 2.0 * across[t], stamp, t))
                         stamp += 1
             across[v] = wdeg[v] - across[v]
 
@@ -295,7 +318,7 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
             bw[b] += c[v]
         if best[:2] >= start[:2]:
             break
-    return out
+    return Partition(list(block), bw)
 
 
 def partition_multilevel(g: Graph, cfg: PartitionConfig) -> Partition:

@@ -27,10 +27,6 @@ class Partition:
         blk = _as_blocks(g, block)
         return cls(blk.tolist(), _block_weights(g, blk))
 
-    def copy(self) -> "Partition":
-        """Independent lists, also when the fields are arrays or tuples."""
-        return Partition(list(self.block), list(self.block_weight))
-
     def block_array(self) -> np.ndarray:
         return np.asarray(self.block, dtype=np.int64)
 

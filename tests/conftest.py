@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections import deque
@@ -11,6 +12,7 @@ import pytest
 
 from treepart import (Graph, MetisFormatError, Partition, RootedTree,
                       balance_cap, is_balanced, sample_bft)
+from treepart.partition import check_partition
 
 
 @pytest.fixture
@@ -64,6 +66,37 @@ MALFORMED_PARTITIONS = [
 ]
 
 
+def neighbors(g: Graph, v: int) -> list[int]:
+    """Neighbours of v in ascending id, read off the CSR arrays."""
+    return g.adj_nbr[g.adj_off[v]:g.adj_off[v + 1]].tolist()
+
+
+def edge_id(g: Graph, u: int, v: int) -> int:
+    """Canonical id of the edge {u, v}; KeyError if there is none."""
+    nbrs = neighbors(g, u)
+    if v not in nbrs:
+        raise KeyError((u, v))
+    return int(g.adj_eid[g.adj_off[u] + nbrs.index(v)])
+
+
+def volume(g: Graph, vertices) -> float:
+    """Total weighted degree of a vertex set.
+
+    Edges with both endpoints inside the set count twice, once per endpoint.
+    """
+    idx = np.fromiter(vertices, dtype=np.int64)
+    if idx.size == 0:
+        return 0.0
+    if idx.min() < 0 or idx.max() >= g.n:
+        raise ValueError("vertex id out of range")
+    return float(g.weighted_degree[idx].sum())
+
+
+def copy_partition(p: Partition) -> Partition:
+    """Independent lists, also when the fields are arrays or tuples."""
+    return Partition(list(p.block), list(p.block_weight))
+
+
 def random_connected_graph(rng: random.Random, n_lo: int = 3, n_hi: int = 12,
                            w_lo: int = 1, w_hi: int = 10,
                            extra_frac: float = 0.6) -> Graph:
@@ -103,7 +136,7 @@ def random_balanced_blocks(g: Graph, rng: random.Random) -> list[int] | None:
 
 def external_degrees(g: Graph, block) -> list[int]:
     """Per-vertex count of neighbors in the other block, by adjacency scan."""
-    return [sum(block[t] != block[v] for t in g.neighbors(v))
+    return [sum(block[t] != block[v] for t in neighbors(g, v))
             for v in range(g.n)]
 
 
@@ -123,7 +156,7 @@ def scalar_mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
         raise ValueError("rounds must be >= 0")
     if not is_balanced(g, p, epsilon):
         raise ValueError("input partition violates the balance constraint")
-    out = p.copy()
+    out = copy_partition(p)
     cap = balance_cap(g, epsilon)
     block = out.block
     bw = out.block_weight
@@ -187,6 +220,110 @@ def scalar_mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
     if stats is not None:
         stats["rounds"] = executed
         stats["max_round_touches"] = max_touches
+    return out
+
+
+def scalar_fm_refine(g: Graph, p: Partition, epsilon: float,
+                     max_passes: int) -> Partition:
+    """Oracle: boundary FM that heapifies one tuple per boundary vertex.
+
+    Same moves, stamps, pass rule and result as treepart.fm_refine, but
+    every pass lists the boundary in a loop over all n vertices and builds
+    one heap of (cut change, stamp, vertex) entries from it.
+    """
+    out = check_partition(g, p)
+    if max_passes < 0:
+        raise ValueError(f"max_passes must be >= 0, got {max_passes}")
+    cap = balance_cap(g, epsilon)
+    if g.n < 2 or g.m == 0:
+        return out
+    stall_limit = max(100, g.n // 25)
+    block = out.block
+    bw = out.block_weight
+    off = g.adj_off_list
+    nbr = g.adj_nbr_list
+    w = g.adj_w_list
+    c = g.vertex_c.tolist()
+    wdeg = g.weighted_degree.tolist()
+
+    for _ in range(max_passes):
+        blk = np.asarray(block)
+        cross = blk[g.edge_u] != blk[g.edge_v]
+        start_cut = float(g.edge_w[cross].sum())
+        across = (np.bincount(g.edge_u[cross], weights=g.edge_w[cross],
+                              minlength=g.n)
+                  + np.bincount(g.edge_v[cross], weights=g.edge_w[cross],
+                                minlength=g.n)).tolist()
+
+        # Heap entries carry the gain at push time. Improved gains push a
+        # fresh entry right away; worsened ones are caught by comparing the
+        # popped entry against the current gain and re-pushing.
+        heap: list[tuple[float, int, int]] = []
+        stamp = 0
+        for v in range(g.n):
+            if across[v] > 0:
+                heap.append((wdeg[v] - 2.0 * across[v], stamp, v))
+                stamp += 1
+        heapq.heapify(heap)
+
+        moved = bytearray(g.n)
+        seq: list[int] = []
+        cur = start_cut
+        # Best prefix by (over the cap, cut, heavier block weight): a
+        # balanced prefix beats any unbalanced one, and equal-cut prefixes
+        # prefer the more balanced state.
+        best = start = (max(bw) > cap, start_cut, float(max(bw)))
+        best_len = 0
+        since_best = 0
+        while heap and since_best < stall_limit:
+            neg_gain, _, v = heapq.heappop(heap)
+            if moved[v]:
+                continue
+            current = wdeg[v] - 2.0 * across[v]
+            if neg_gain != current:
+                if across[v] > 0:
+                    heapq.heappush(heap, (current, stamp, v))
+                    stamp += 1
+                continue
+            b = block[v]
+            o = 1 - b
+            if bw[o] + c[v] > cap or bw[b] == c[v]:
+                continue
+            moved[v] = 1
+            block[v] = o
+            bw[b] -= c[v]
+            bw[o] += c[v]
+            cur += neg_gain
+            seq.append(v)
+            key = (max(bw) > cap, cur, float(max(bw)))
+            if key < best:
+                best = key
+                best_len = len(seq)
+                since_best = 0
+            else:
+                since_best += 1
+            for i in range(off[v], off[v + 1]):
+                t = nbr[i]
+                wt = w[i]
+                if block[t] == o:
+                    # Gain of t worsened; its stale entry corrects on pop.
+                    across[t] -= wt
+                else:
+                    across[t] += wt
+                    if not moved[t]:
+                        heapq.heappush(
+                            heap, (wdeg[t] - 2.0 * across[t], stamp, t))
+                        stamp += 1
+            across[v] = wdeg[v] - across[v]
+
+        for v in seq[best_len:]:
+            o = block[v]
+            b = 1 - o
+            block[v] = b
+            bw[o] -= c[v]
+            bw[b] += c[v]
+        if best[:2] >= start[:2]:
+            break
     return out
 
 

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from treepart import (Graph, all_fundamental_conductances, cond_all_edges,
-                      lca, root_and_label, sample_bft, volume)
+                      lca, root_and_label, sample_bft)
 from treepart.fundcut import cut_attributes
-from tests.conftest import (brute_force_conductance, cut_corpus,
-                            postorder_cut_aggregates, random_connected_graph)
+from tests.conftest import (brute_force_conductance, cut_corpus, edge_id,
+                            postorder_cut_aggregates, random_connected_graph,
+                            volume)
 
 
 def descendants(t, u):
@@ -39,32 +40,32 @@ class TestExamples:
     def test_p3_leaf_cut(self, p3):
         t = root_and_label(p3, [0, 1], root=2)
         conds = all_fundamental_conductances(p3, t)
-        assert conds[p3.edge_ids[(0, 1)]] == pytest.approx(1.0)
+        assert conds[edge_id(p3, 0, 1)] == pytest.approx(1.0)
 
     def test_c4_path_tree_middle_edge(self, c4):
         # Spanning tree is the path 0-1-2-3; cutting {1, 2} crosses {1,2}
         # and {0, 3}.
-        tree = [c4.edge_ids[(0, 1)], c4.edge_ids[(1, 2)], c4.edge_ids[(2, 3)]]
+        tree = [edge_id(c4, 0, 1), edge_id(c4, 1, 2), edge_id(c4, 2, 3)]
         t = root_and_label(c4, tree, root=0)
         conds = all_fundamental_conductances(c4, t)
-        e = c4.edge_ids[(1, 2)]
+        e = edge_id(c4, 1, 2)
         assert conds[e] == pytest.approx(0.5)
         assert conds[e] == pytest.approx(brute_force_conductance(c4, t, e))
 
     def test_star_plus_attributes_and_cond(self, star_plus):
         g = star_plus
-        tree = [g.edge_ids[(0, 1)], g.edge_ids[(1, 2)], g.edge_ids[(1, 3)]]
+        tree = [edge_id(g, 0, 1), edge_id(g, 1, 2), edge_id(g, 1, 3)]
         t = root_and_label(g, tree, root=0)
         attrs = cut_attributes(g, t)
         assert attrs.intra_weight[1] == pytest.approx(2.0)
         assert attrs.inter_weight[1] == pytest.approx(0.0)
         assert attrs.subtree_vol[1] == pytest.approx(7.0)
         conds = all_fundamental_conductances(g, t)
-        assert conds[g.edge_ids[(0, 1)]] == pytest.approx(1.0)
+        assert conds[edge_id(g, 0, 1)] == pytest.approx(1.0)
 
     def test_triangle_brute_force(self, triangle):
         t = root_and_label(triangle, [0, 2], root=0)  # tree {01, 12}
-        e = triangle.edge_ids[(0, 1)]
+        e = edge_id(triangle, 0, 1)
         assert brute_force_conductance(triangle, t, e) == pytest.approx(1.0)
 
     def test_non_tree_edge_rejected(self, c4):
@@ -156,7 +157,7 @@ def tree_plus_chords(parent, chords, root, rng=None):
                     if u != v and (min(u, v), max(u, v)) not in tree_set]
     weights = rng and [rng.randint(1, 10) for _ in edges]
     g = Graph.from_edges(len(parent), edges, edge_weights=weights)
-    return g, root_and_label(g, [g.edge_ids[e] for e in tree], root)
+    return g, root_and_label(g, [edge_id(g, *e) for e in tree], root)
 
 
 def reweighted(g, rng):

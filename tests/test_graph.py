@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treepart import (Graph, check_connected, connected_components,
-                      largest_component, volume)
+                      largest_component)
 from treepart import graph as graph_module
-from tests.conftest import random_connected_graph, union_find_components
+from tests.conftest import (random_connected_graph, union_find_components,
+                            volume)
 from tests.test_spantree import family_graph, strip
 
 

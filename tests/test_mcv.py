@@ -7,8 +7,9 @@ from treepart import (Graph, Partition, PartitionConfig, comm_volumes,
                       edge_cut, generate_scale_free, is_balanced, mcv,
                       mcv_postprocess, partition_multilevel)
 from tests.conftest import (MALFORMED_PARTITIONS, chorded_c6,
-                            external_degrees, random_balanced_blocks,
-                            random_connected_graph, scalar_mcv_postprocess)
+                            copy_partition, external_degrees,
+                            random_balanced_blocks, random_connected_graph,
+                            scalar_mcv_postprocess)
 
 
 class TestMetric:
@@ -164,7 +165,7 @@ def balanced_starts(draw):
 @given(balanced_starts(), st.integers(0, 8), st.integers(0, 2 ** 32))
 def test_postprocess_keeps_balance_and_never_raises_mcv(case, rounds, seed):
     g, p, epsilon = case
-    before = p.copy()
+    before = copy_partition(p)
     out = mcv_postprocess(g, p, rounds=rounds, epsilon=epsilon, seed=seed)
     assert mcv(g, out) <= mcv(g, p)
     assert is_balanced(g, out, epsilon)

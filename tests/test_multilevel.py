@@ -8,8 +8,9 @@ from treepart import (RATINGS, Graph, Partition, PartitionConfig,
                       contract, edge_cut, fm_refine, generate_scale_free,
                       greedy_matching, initial_bipartition, is_balanced,
                       partition_multilevel)
-from tests.conftest import (MALFORMED_PARTITIONS, chorded_c6,
-                            random_balanced_blocks, random_connected_graph)
+from tests.conftest import (MALFORMED_PARTITIONS, chorded_c6, edge_id,
+                            neighbors, random_balanced_blocks,
+                            random_connected_graph)
 
 
 def max_weight_matching_value(g, rating):
@@ -48,7 +49,7 @@ class TestGreedyMatching:
             for v in range(g.n):
                 if mate[v] >= 0:
                     assert mate[mate[v]] == v
-                    assert (min(v, mate[v]), max(v, mate[v])) in g.edge_ids
+                    assert mate[v] in neighbors(g, v)
 
     def test_at_least_half_of_optimum(self):
         rng = random.Random(43)
@@ -56,7 +57,7 @@ class TestGreedyMatching:
             g = random_connected_graph(rng, n_lo=4, n_hi=9)
             rating = np.array([rng.randint(1, 10) for _ in range(g.m)])
             mate = greedy_matching(g, rating, 1e9)
-            got = sum(rating[g.edge_ids[(min(v, mate[v]), max(v, mate[v]))]]
+            got = sum(rating[edge_id(g, v, mate[v])]
                       for v in range(g.n) if 0 <= mate[v] and v < mate[v])
             assert got >= 0.5 * max_weight_matching_value(g, rating)
 
@@ -113,6 +114,14 @@ class TestContract:
                              ids=["past-n", "below-minus-one", "short", "2d"])
     def test_mate_outside_range_or_shape_rejected(self, p3, mate):
         with pytest.raises(ValueError, match=r"one entry in \[-1, n\)"):
+            contract(p3, np.array(mate))
+
+    @pytest.mark.parametrize("mate", [[1.9, 0.3, -1], [np.nan, -1, -1],
+                                      [1.0, 0.0, -1]],
+                             ids=["fraction", "nan", "integral-float"])
+    def test_float_mate_rejected(self, p3, mate):
+        # Casting would truncate [1.9, 0.3, -1] to the matching {0, 1}.
+        with pytest.raises(ValueError, match="mate entries must be integers"):
             contract(p3, np.array(mate))
 
     def test_coarse_ids_follow_pair_leaders(self):
@@ -328,6 +337,20 @@ def test_contract_keeps_vertex_and_non_loop_edge_weight(case):
     got = dict(zip(zip(coarse.edge_u.tolist(), coarse.edge_v.tolist()),
                    coarse.edge_w.tolist()))
     assert got == want
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(matched_graphs(), st.sampled_from(["int8", "int16", "int32", "list"]))
+def test_contract_takes_mates_of_any_integer_type(case, kind):
+    g, mate = case
+    coarse, cmap = contract(g, mate)
+    other, omap = contract(g, mate.tolist() if kind == "list"
+                           else mate.astype(kind))
+    assert omap.tolist() == cmap.tolist()
+    assert other.n == coarse.n
+    assert other.vertex_c.tolist() == coarse.vertex_c.tolist()
+    for name in ("edge_u", "edge_v", "edge_w"):
+        assert getattr(other, name).tolist() == getattr(coarse, name).tolist()
 
 
 def test_contract_of_near_overflow_weights_stays_finite():

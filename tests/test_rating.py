@@ -6,7 +6,8 @@ import pytest
 from treepart import (Graph, algebraic_distance, all_fundamental_conductances,
                       cond_all_edges, ex_alg, ex_cond, expansion_star2,
                       root_and_label, sample_bft)
-from tests.conftest import brute_force_conductance, random_connected_graph
+from tests.conftest import (brute_force_conductance, edge_id,
+                            random_connected_graph)
 
 
 def brute_cond(g, t):
@@ -39,21 +40,21 @@ class TestCondAllEdges:
         assert full[0] == conds[0] and full[1] == conds[1]
 
     def test_c4_chord_takes_path_minimum(self, c4):
-        tree = [c4.edge_ids[(0, 1)], c4.edge_ids[(1, 2)], c4.edge_ids[(2, 3)]]
+        tree = [edge_id(c4, 0, 1), edge_id(c4, 1, 2), edge_id(c4, 2, 3)]
         t = root_and_label(c4, tree, root=0)
         conds = all_fundamental_conductances(c4, t)
         full = cond_all_edges(c4, t, conds)
-        chord = c4.edge_ids[(0, 3)]
+        chord = edge_id(c4, 0, 3)
         assert full[chord] == pytest.approx(min(conds[e] for e in tree))
 
     def test_star_plus_chord(self, star_plus):
         g = star_plus
-        tree = [g.edge_ids[(0, 1)], g.edge_ids[(1, 2)], g.edge_ids[(1, 3)]]
+        tree = [edge_id(g, 0, 1), edge_id(g, 1, 2), edge_id(g, 1, 3)]
         t = root_and_label(g, tree, root=0)
         conds = all_fundamental_conductances(g, t)
         full = cond_all_edges(g, t, conds)
-        chord = g.edge_ids[(2, 3)]
-        expect = min(conds[g.edge_ids[(1, 2)]], conds[g.edge_ids[(1, 3)]])
+        chord = edge_id(g, 2, 3)
+        expect = min(conds[edge_id(g, 1, 2)], conds[edge_id(g, 1, 3)])
         assert full[chord] == pytest.approx(expect)
 
     def test_matches_brute_force_enumeration(self):

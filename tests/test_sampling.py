@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from treepart import Graph, contrast, sample_bft
 from treepart import sampling
 from treepart.sampling import subseeds
-from tests.conftest import (cut_corpus, level_sync_bft, orientation_counts,
-                            queue_bft, random_connected_graph)
+from tests.conftest import (cut_corpus, edge_id, level_sync_bft, neighbors,
+                            orientation_counts, queue_bft,
+                            random_connected_graph)
 
 # One tree per sweep, and every tree of a collection in one sweep.
 CAPS = [1, 2 ** 40]
@@ -61,7 +62,7 @@ class TestSampleBft:
             queue = deque([t.root])
             while queue:
                 u = queue.popleft()
-                for w in g.neighbors(u):
+                for w in neighbors(g, u):
                     if dist[w] < 0:
                         dist[w] = dist[u] + 1
                         queue.append(w)
@@ -91,7 +92,7 @@ class TestContrast:
         # Two triangles joined by the bridge {2, 3}.
         g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3),
                                  (3, 4), (3, 5), (4, 5)])
-        bridge = g.edge_ids[(2, 3)]
+        bridge = edge_id(g, 2, 3)
         gamma, claims = swept_claims(g, 25, 8, monkeypatch)
         both = claims[g.adj_eid == bridge]
         assert both.sum() == 25
@@ -123,7 +124,7 @@ class TestContrast:
             for v in range(g.n):
                 if v != t.root:
                     u = t.parent[v]
-                    want[g.adj_off[u] + g.neighbors(u).index(v)] += 1
+                    want[g.adj_off[u] + neighbors(g, u).index(v)] += 1
         _, claims = swept_claims(g, trees, seed, monkeypatch)
         assert claims.tolist() == want.tolist()
 
@@ -134,7 +135,7 @@ class TestContrast:
             roots = {sample_bft(p3, sub).root for sub in subseeds(seed, 2)}
             if roots == {0, 2}:
                 gamma = contrast(p3, 2, seed)
-                assert gamma[p3.edge_ids[(0, 1)]] == 1
+                assert gamma[edge_id(p3, 0, 1)] == 1
                 return
         pytest.fail("no seed with roots at both path ends found")
 
