@@ -14,7 +14,8 @@ from typing import Callable
 import numpy as np
 
 from .graph import Graph
-from .partition import Partition, balance_cap, check_partition, is_balanced
+from .partition import (Partition, _as_blocks, balance_cap, check_partition,
+                        is_balanced)
 
 
 def _boundary(g: Graph, blk: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -27,8 +28,9 @@ def _boundary(g: Graph, blk: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def comm_volumes(g: Graph, p: Partition) -> tuple[int, int]:
-    """Per-block communication volumes, recomputed from scratch."""
-    return tuple(_boundary(g, p.block_array())[1])
+    """Per-block communication volumes, recomputed from scratch. Raises
+    ValueError unless p.block gives each vertex the block 0 or 1."""
+    return tuple(_boundary(g, _as_blocks(g, p.block))[1])
 
 
 def mcv(g: Graph, p: Partition) -> int:
@@ -36,8 +38,9 @@ def mcv(g: Graph, p: Partition) -> int:
 
 
 def edge_cut(g: Graph, p: Partition) -> float:
-    """Total weight of edges crossing the partition."""
-    blk = p.block_array()
+    """Total weight of edges crossing the partition. Raises ValueError
+    unless p.block gives each vertex the block 0 or 1."""
+    blk = _as_blocks(g, p.block)
     return float(g.edge_w[blk[g.edge_u] != blk[g.edge_v]].sum())
 
 
@@ -89,7 +92,7 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
     n = g.n
     block = out.block
     bw = out.block_weight
-    blk = out.block_array()
+    blk = np.asarray(block)
     ext, vols = _boundary(g, blk)
     src = g.csr_src
     ext_nbr = ext[g.adj_nbr]

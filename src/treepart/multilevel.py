@@ -234,10 +234,10 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
 
     for _ in range(max_passes):
         cross = blk[g.edge_u] != blk[g.edge_v]
-        cw = g.edge_w[cross]
-        start_cut = float(cw.sum())
-        acr = (np.bincount(g.edge_u[cross], weights=cw, minlength=g.n)
-               + np.bincount(g.edge_v[cross], weights=cw, minlength=g.n))
+        start_cut = float(g.edge_w[cross].sum())
+        cw = g.edge_w * cross  # uncut edges add +0.0: sums stay bit-equal
+        acr = (np.bincount(g.edge_u, weights=cw, minlength=g.n)
+               + np.bincount(g.edge_v, weights=cw, minlength=g.n))
         across = acr.tolist()
         bnd = np.flatnonzero(acr > 0)
         gain = g.weighted_degree[bnd] - 2.0 * acr[bnd]
@@ -348,7 +348,7 @@ def partition_multilevel(g: Graph, cfg: PartitionConfig) -> Partition:
     p = fm_refine(cur, p, cfg.epsilon, MAX_FM_PASSES)
     for fine, cmap in reversed(levels):
         # Contraction adds up vertex weights, so the block weights carry over.
-        p = Partition(p.block_array()[cmap].tolist(), list(p.block_weight))
+        p = Partition(np.asarray(p.block)[cmap].tolist(), list(p.block_weight))
         p = fm_refine(fine, p, cfg.epsilon, MAX_FM_PASSES)
     if not is_balanced(g, p, cfg.epsilon):
         logger.warning("final partition violates the balance constraint "

@@ -27,9 +27,6 @@ class Partition:
         blk = _as_blocks(g, block)
         return cls(blk.tolist(), _block_weights(g, blk))
 
-    def block_array(self) -> np.ndarray:
-        return np.asarray(self.block, dtype=np.int64)
-
 
 def _as_blocks(g: Graph, block) -> np.ndarray:
     """`block` as an int64 array; ValueError unless it gives each of g's n

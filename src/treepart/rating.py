@@ -22,9 +22,13 @@ def cond_all_edges(g: Graph, t: RootedTree,
     For a tree edge that is its own fundamental cut's conductance (no other
     fundamental cut-set contains a tree edge). For a non-tree edge {u, v} it
     is the minimum over the tree edges on the u-v path, taken from one batch
-    of tree-path queries.
+    of tree-path queries. Raises ValueError if t or tree_conds is not g's.
     """
+    if t.n != g.n:
+        raise ValueError("tree does not match graph")
     out = np.array(tree_conds, dtype=np.float64, copy=True)
+    if out.shape != (g.m,):
+        raise ValueError("tree_conds must have one entry per edge")
     non_tree = np.flatnonzero(np.isnan(out))
     if non_tree.size == 0:
         return out

@@ -23,12 +23,11 @@ tree is the one a sequential BFS with those keys builds. On each level:
   frontier positions, and `np.minimum.at` over the entries' positions finds
   the first one in O(entries).
 - A sequential BFS queues the newly reached vertices by (queue position of
-  the parent, key of the entry). The sweep orders each tree's new vertices
-  by the float claim `rank + key`, rank being the parent's position in its
-  tree's frontier, and breaks exact ties by vertex id. That is the same
-  order unless two keys of one rank, or a key and the next rank, round to
-  one float at the magnitude of `rank`. Neither rule depends on W, so a
-  tree comes out the same whichever sweep it shares.
+  the parent, key of the entry), equal keys in CSR order. The frontier is
+  grouped by tree, each part in queue order, so one stable lexsort of the
+  winning entries by (frontier position of the parent, key) gives exactly
+  that order for every tree. Neither rule depends on W, so a tree comes
+  out the same whichever sweep it shares.
 
 W = max(1, min(T, SWEEP_CAP // 2m)) for T trees. A sweep holds W*2m float
 keys and W*n <= W*(m + 1) per-slot integers, and one level of one tree
@@ -59,8 +58,8 @@ def _sweep(g: Graph, seeds: Sequence[int]):
     `np.random.default_rng(seed)`. Returns (roots, entry), entry of shape
     (len(seeds), n): entry[t, v] is the adjacency entry that claimed v in
     tree t, or -1 at the root, so v's parent is `g.csr_src[entry[t, v]]`
-    and its parent edge `g.adj_eid[entry[t, v]]`. Raises ValueError if the
-    graph is not connected.
+    and its parent edge `g.adj_eid[entry[t, v]]`, in exactly the FIFO BFS
+    tree of seed t. Raises ValueError if the graph is not connected.
     """
     n, w, two_m = g.n, len(seeds), 2 * g.m
     roots = np.empty(w, dtype=np.int64)
@@ -74,15 +73,12 @@ def _sweep(g: Graph, seeds: Sequence[int]):
     # entry i of tree t. Per slot, `via` holds _UNSEEN until the slot's
     # level, then on that level the position of its first candidate entry,
     # and from then on the entry that claimed it.
-    tree_col = np.arange(w, dtype=np.int64)[:, None]
     off, deg = g.adj_off, np.diff(g.adj_off)
     via = np.full(w * n, _UNSEEN, dtype=np.int64)
     # The frontier, grouped by tree, each tree's part in queue order.
-    f_tree = tree_col.ravel()
+    f_tree = np.arange(w, dtype=np.int64)
     f_vert = roots
-    t_start = f_tree  # where each tree's part begins
     via[f_tree * n + roots] = -1
-    reached = w
     while f_vert.size:
         counts = deg[f_vert]
         ends = counts.cumsum()
@@ -98,14 +94,12 @@ def _sweep(g: Graph, seeds: Sequence[int]):
         pos, slot = pos[won], slot[won]
         src = ends.searchsorted(pos, side="right")
         tree = f_tree[src]
-        via[slot] = entry[pos]
-        claim = (src - t_start[tree]) + keys[via[slot] + tree * two_m]
-        order = np.lexsort((slot, claim, tree))
+        claimed = entry[pos]
+        via[slot] = claimed
+        order = np.lexsort((keys[claimed + tree * two_m], src))
         f_tree = tree[order]
         f_vert = slot[order] - f_tree * n
-        t_start = f_tree.searchsorted(tree_col.ravel())
-        reached += f_vert.size
-    if reached != w * n:
+    if (via == _UNSEEN).any():
         raise ValueError("graph is not connected")
     return roots, via.reshape(w, n)
 

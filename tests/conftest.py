@@ -345,7 +345,7 @@ def level_sync_bft(g: Graph, seed: int):
     like treepart.sampling. Every new vertex is claimed by the frontier
     entry minimizing (frontier position of the source, entry key), found by
     a lexsort over all new entries, and the next frontier is ordered by
-    the claim `position + key`, ties by vertex id.
+    the same pair, ties by vertex id.
 
     Returns (root, parent, parent_edge, depth) as arrays; the root is its
     own parent. Raises ValueError if the graph is not connected.
@@ -381,8 +381,8 @@ def level_sync_bft(g: Graph, seed: int):
         tgt = tgt[new]
         entries = entries[new]
         rank = np.repeat(np.arange(frontier.size), counts)[new]
-        claim = rank + keys[entries]
-        order = np.lexsort((claim, tgt))
+        key = keys[entries]
+        order = np.lexsort((key, rank, tgt))
         tgt_sorted = tgt[order]
         first = np.empty(len(order), dtype=bool)
         first[0] = True
@@ -395,7 +395,7 @@ def level_sync_bft(g: Graph, seed: int):
         depth[chosen] = d
         visited[chosen] = True
         reached += chosen.size
-        frontier = chosen[np.argsort(claim[sel], kind="stable")]
+        frontier = chosen[np.lexsort((key[sel], rank[sel]))]
     if reached != n:
         raise ValueError("graph is not connected")
     return root, parent, parent_edge, depth

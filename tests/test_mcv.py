@@ -34,6 +34,14 @@ class TestMetric:
         assert edge_cut(c4, Partition.from_blocks(c4, [0, 0, 0, 0])) == 0.0
         assert edge_cut(k2, Partition.from_blocks(k2, [0, 1])) == 1.0
 
+    @pytest.mark.parametrize("metric", [edge_cut, comm_volumes, mcv])
+    @pytest.mark.parametrize("block", [[0, 2, 1], [0.0, 1.0, 1.0],
+                                       [0, 1, 1, 0], [0, 1]],
+                             ids=["id-2", "float", "long", "short"])
+    def test_malformed_blocks_rejected(self, p3, metric, block):
+        with pytest.raises(ValueError, match="block"):
+            metric(p3, Partition(block, [1, 2]))
+
 
 class TestPostprocess:
     def test_never_increases_mcv(self):

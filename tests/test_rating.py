@@ -67,6 +67,24 @@ class TestCondAllEdges:
             expect = brute_cond(g, t)
             assert np.allclose(full, expect, atol=1e-9)
 
+    @pytest.mark.parametrize("case", ["short", "long", "tree-of-p3",
+                                      "tree-of-p5"])
+    def test_mismatched_input_rejected(self, c4, case):
+        tree = [edge_id(c4, 0, 1), edge_id(c4, 1, 2), edge_id(c4, 2, 3)]
+        t = root_and_label(c4, tree, root=0)
+        conds = all_fundamental_conductances(c4, t)
+        if case == "short":
+            conds = conds[:-1]
+        elif case == "long":
+            conds = np.append(conds, 0.5)
+        else:
+            n = int(case[-1])
+            path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+            t = root_and_label(path, list(range(n - 1)), root=0)
+        match = "tree does not match" if case.startswith("tree") else "entry"
+        with pytest.raises(ValueError, match=match):
+            cond_all_edges(c4, t, conds)
+
 
 class TestPointwiseRatings:
     def test_ex_cond_arithmetic(self):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treepart import Graph, contrast, sample_bft
-from treepart import sampling
+from treepart import (Graph, PartitionConfig, contrast, generate_scale_free,
+                      partition_multilevel, sample_bft)
+from treepart import multilevel, sampling
 from treepart.sampling import subseeds
 from tests.conftest import (cut_corpus, edge_id, level_sync_bft, neighbors,
                             orientation_counts, queue_bft,
@@ -252,6 +253,73 @@ class TestAgainstOracles:
                   Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])):
             for seed in range(5):
                 assert_sweeps_match_oracles(g, trees, seed, monkeypatch)
+
+
+class FixedKeys:
+    """Stands in for np.random.default_rng: root 0 and the given keys,
+    whatever the seed."""
+
+    keys = None
+
+    def __init__(self, seed):
+        pass
+
+    def integers(self, n):
+        return 0
+
+    def random(self, size=None, out=None):
+        if out is None:
+            return self.keys.copy()
+        out[:] = self.keys
+        return out
+
+
+def test_keys_closer_than_a_float_step_keep_their_order(monkeypatch):
+    # Star on 0 with leaves 1..2048, keyed so that leaf 2048 is popped last
+    # (frontier rank 2047). Its children 2049 and 2050 both reach 2051; the
+    # key of 2050 is lower by 2^-44, a quarter of a float step at 2047.5,
+    # so 2050 is popped first and claims 2051.
+    leaves = 2048
+    edges = [(0, i) for i in range(1, leaves + 1)]
+    edges += [(leaves, leaves + 1), (leaves, leaves + 2),
+              (leaves + 1, leaves + 3), (leaves + 2, leaves + 3)]
+    g = Graph.from_edges(leaves + 4, edges)
+    keys = np.full(2 * g.m, 0.25)
+    keys[:leaves] = np.arange(1, leaves + 1) / 4096
+    keys[g.csr_src == leaves] = [0.1, 0.5 + 2.0 ** -44, 0.5]
+    monkeypatch.setattr(FixedKeys, "keys", keys)
+    monkeypatch.setattr(np.random, "default_rng", FixedKeys)
+    assert queue_bft(g, 0)[1][leaves + 3] == leaves + 2
+    assert_sweeps_match_oracles(g, 2, 0, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("family", ["sf", "strip"])
+def test_every_multilevel_level(family, seed, monkeypatch):
+    # Each graph that partition_multilevel rates: 2000 vertices down to
+    # the coarsest level, both sparse and dense.
+    if family == "sf":
+        g = generate_scale_free(2000, 4, seed)
+    else:
+        g = family_graph("strip", 250, random.Random(seed))
+    graphs = []
+    real = multilevel.compute_rating
+    monkeypatch.setattr(multilevel, "compute_rating",
+                        lambda g, cfg, s: graphs.append(g)
+                        or real(g, cfg, s))
+    partition_multilevel(g, PartitionConfig(seed=seed))
+    assert len(graphs) > 3 and graphs[0] is g
+    seeds = subseeds(seed, 2)
+    for level in graphs:
+        roots, entry = sampling._sweep(level, seeds)
+        for t, s in enumerate(seeds):
+            root, parent, parent_edge, _ = queue_bft(level, s)
+            assert roots[t] == root
+            want = np.asarray(parent_edge)
+            got = np.where(entry[t] >= 0, level.adj_eid[entry[t]], -1)
+            assert np.array_equal(got, want)
+            assert np.array_equal(level.csr_src[entry[t][entry[t] >= 0]],
+                                  np.asarray(parent)[want >= 0])
 
 
 @st.composite
