@@ -44,6 +44,17 @@ def edge_cut(g: Graph, p: Partition) -> float:
     return float(g.edge_w[blk[g.edge_u] != blk[g.edge_v]].sum())
 
 
+def _visit_order(rng: random.Random, k: int) -> list[int]:
+    """A seeded permutation of range(k): one 64-bit key per index, drawn in
+    one batch from rng, the index written into its low bits so the keys
+    are distinct, the indices listed in ascending key order."""
+    keys = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"),
+                         dtype="<u8")
+    low = k.bit_length()
+    keys = keys >> low << low | np.arange(k, dtype=np.uint64)
+    return keys.argsort().tolist()
+
+
 def mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
                     epsilon: float = 0.03, seed: int = 0,
                     on_accept: Callable[[list[int], tuple[int, int], list[int]], None] | None = None,
@@ -52,7 +63,11 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
 
     Each round snapshots the boundary vertices and visits them in a seeded
     random order; a vertex moves to the opposite block when the move keeps
-    or reduces MCV and preserves balance.
+    or reduces MCV and preserves balance. The order of a round with k
+    snapshot vertices comes from one `getrandbits(64k)` call on the run's
+    `random.Random(seed)`: the draw is cut into k little-endian 64-bit
+    keys, the low `k.bit_length()` bits of each key are replaced by its
+    snapshot index, and the vertices are visited in ascending key order.
 
     Deciding one vertex costs O(1). Besides its external degree ext[u]
     (neighbours in the other block), every vertex u keeps bb[u], its
@@ -113,11 +128,11 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
         boundary = list(compress(range(n), ext))
         if not boundary:
             break
-        rng.shuffle(boundary)
         executed += 1
         touches = n  # boundary snapshot scan
         accepted = 0
-        for v in boundary:
+        for i in _visit_order(rng, len(boundary)):
+            v = boundary[i]
             ev = ext[v]
             if not ev:
                 continue

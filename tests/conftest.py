@@ -140,6 +140,18 @@ def external_degrees(g: Graph, block) -> list[int]:
             for v in range(g.n)]
 
 
+def scalar_visit_order(rng: random.Random, k: int) -> list[int]:
+    """Oracle: the visiting order of one postprocessing round of k snapshot
+    vertices. One getrandbits(64k) draw is read as k little-endian 64-bit
+    keys; key i gets i in its low k.bit_length() bits, and the indices are
+    listed by ascending key."""
+    raw = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+    low = k.bit_length()
+    keys = [int.from_bytes(raw[8 * i:8 * i + 8], "little") >> low << low | i
+            for i in range(k)]
+    return sorted(range(k), key=keys.__getitem__)
+
+
 def scalar_mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
                            epsilon: float = 0.03, seed: int = 0,
                            on_accept=None, stats: dict | None = None
@@ -174,7 +186,8 @@ def scalar_mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
         boundary = [v for v in range(g.n) if ext[v] > 0]
         if not boundary:
             break
-        rng.shuffle(boundary)
+        boundary = [boundary[i]
+                    for i in scalar_visit_order(rng, len(boundary))]
         executed += 1
         touches = g.n
         accepted = 0

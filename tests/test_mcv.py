@@ -1,15 +1,22 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import treepart
 from treepart import (Graph, Partition, PartitionConfig, comm_volumes,
                       edge_cut, generate_scale_free, is_balanced, mcv,
                       mcv_postprocess, partition_multilevel)
+from treepart.mcv import _visit_order
 from tests.conftest import (MALFORMED_PARTITIONS, chorded_c6,
                             copy_partition, external_degrees,
                             random_balanced_blocks, random_connected_graph,
-                            scalar_mcv_postprocess)
+                            scalar_mcv_postprocess, scalar_visit_order)
 
 
 class TestMetric:
@@ -125,6 +132,18 @@ class TestPostprocess:
         b = mcv_postprocess(g, p, rounds=8, epsilon=0.03, seed=9)
         assert a.block == b.block
 
+    def test_seed_sign_and_size(self):
+        # random.Random seeds with |seed| and takes seeds of any size; a
+        # generator that rejects negative or wide seeds fails here.
+        g = generate_scale_free(2000, 3, 5)
+        p = partition_multilevel(g, PartitionConfig(rating="exp2", seed=5))
+        out = mcv_postprocess(g, p, seed=3)
+        assert mcv(g, out) < mcv(g, p)
+        assert mcv_postprocess(g, p, seed=-3).block == out.block
+        wide = mcv_postprocess(g, p, seed=2 ** 70)
+        assert mcv(g, wide) <= mcv(g, p)
+        assert is_balanced(g, wide, 0.03)
+
     def test_round_cost_linear_in_graph_size(self):
         # One round scans the boundary snapshot, the adjacency of every
         # moved vertex and that of every neighbour whose external degree
@@ -138,6 +157,64 @@ class TestPostprocess:
             mcv_postprocess(g, p, rounds=6, epsilon=0.03, seed=2, stats=stats)
             if stats["rounds"]:
                 assert stats["max_round_touches"] <= 4 * (g.n + g.m)
+
+
+class TestVisitOrder:
+    def test_matches_scalar_rule(self):
+        for k in (1, 2, 3, 7, 8, 9, 64, 1000, 5000):
+            for seed in (0, 1, -4, 2 ** 70):
+                a, b = random.Random(seed), random.Random(seed)
+                assert _visit_order(a, k) == scalar_visit_order(b, k)
+                assert a.getrandbits(64) == b.getrandbits(64)
+
+    def test_index_breaks_ties_in_the_high_bits(self):
+        # Keys equal above their low k.bit_length() bits, and descending
+        # below them, are visited in snapshot order.
+        class Fixed(random.Random):
+            def getrandbits(self, bits):
+                k = bits // 64
+                return int.from_bytes(b"".join(
+                    (2 ** 64 - 1 - i).to_bytes(8, "little")
+                    for i in range(k)), "little")
+
+        for k in (2, 3, 100, 1000):
+            assert _visit_order(Fixed(0), k) == list(range(k))
+            assert scalar_visit_order(Fixed(0), k) == list(range(k))
+
+    def test_single_vertex(self):
+        for seed in range(50):
+            assert _visit_order(random.Random(seed), 1) == [0]
+
+    def test_uniform_positions(self):
+        # Over 20,000 seeds each of the 10 positions holds index 0 about
+        # 2000 times (binomial sd ~42, so +-200 is ~4.7 sd).
+        k = 10
+        hits = [0] * k
+        for seed in range(20_000):
+            order = _visit_order(random.Random(seed), k)
+            assert sorted(order) == list(range(k))
+            hits[order.index(0)] += 1
+        assert all(1800 <= h <= 2200 for h in hits), hits
+
+
+def test_postprocess_never_loads_numpy_random():
+    # numpy.random costs ~6 MB of resident memory on first import, and an
+    # exp2 run does not need it otherwise.
+    script = textwrap.dedent("""
+        import sys
+        from treepart import (PartitionConfig, generate_scale_free,
+                              mcv_postprocess, partition_multilevel)
+        g = generate_scale_free(2000, 4, 1)
+        p = partition_multilevel(g, PartitionConfig(rating="exp2", seed=1))
+        mcv_postprocess(g, p, seed=1)
+        print("numpy.random._generator" in sys.modules)
+    """)
+    src = str(Path(treepart.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stdout.strip() == "False"
 
 
 def lighter_block_start(g, order):
