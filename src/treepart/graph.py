@@ -51,13 +51,17 @@ class Graph:
         `edges` is an iterable of (u, v) pairs or an integer array of shape
         (k, 2). Parallel edges are merged by summing their weights.
         Self-loops are rejected. Missing weights default to 1. The merged
-        weights and the total volume must be finite.
+        weights and the total volume must be finite. Endpoints and vertex
+        weights of a non-integer dtype raise ValueError, never truncate.
         """
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if not isinstance(edges, np.ndarray):
-            edges = list(edges)
-        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        raw = np.asarray(edges if isinstance(edges, np.ndarray)
+                         else list(edges))
+        if raw.size and raw.dtype.kind not in "biu":
+            raise ValueError(f"edge endpoints must be integers, got "
+                             f"{raw.dtype}")
+        pairs = raw.astype(np.int64, copy=False).reshape(-1, 2)
         if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
             raise ValueError("vertex id out of range")
         if edge_weights is None:
@@ -78,18 +82,12 @@ class Graph:
         # for n < 3e9 and gives lexsort's (lo, hi) order.
         order = np.argsort(lo * n + hi, kind="stable")
         lo, hi, w = lo[order], hi[order], w[order]
-        if len(lo):
-            new_edge = np.empty(len(lo), dtype=bool)
-            new_edge[0] = True
-            new_edge[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-            starts = np.flatnonzero(new_edge)
-            edge_u = lo[starts]
-            edge_v = hi[starts]
-            edge_w = np.add.reduceat(w, starts)
-        else:
-            edge_u = np.empty(0, dtype=np.int64)
-            edge_v = np.empty(0, dtype=np.int64)
-            edge_w = np.empty(0, dtype=np.float64)
+        new = np.ones(len(lo), dtype=bool)
+        new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        starts = np.flatnonzero(new)
+        edge_u = lo[starts]
+        edge_v = hi[starts]
+        edge_w = np.add.reduceat(w, starts)
         if not np.isfinite(2.0 * edge_w.sum()):
             raise ValueError("edge weights overflow: merged weights and "
                              "total volume must be finite")
@@ -97,7 +95,11 @@ class Graph:
         if vertex_weights is None:
             c = np.ones(n, dtype=np.int64)
         else:
-            c = np.asarray(vertex_weights, dtype=np.int64)
+            c = np.asarray(vertex_weights)
+            if c.dtype.kind not in "biu":
+                raise ValueError(f"vertex weights must be integers, got "
+                                 f"{c.dtype}")
+            c = c.astype(np.int64, copy=False)
             if len(c) != n:
                 raise ValueError("vertex_weights length mismatch")
             if np.any(c <= 0):

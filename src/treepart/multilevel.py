@@ -84,7 +84,7 @@ def greedy_matching(g: Graph, rating: np.ndarray,
         raise ValueError("rating length must equal edge count")
     if not np.all(np.isfinite(vals)):
         raise ValueError("ratings must be finite")
-    order = np.lexsort((np.arange(g.m), -vals)).tolist()
+    order = np.argsort(-vals, kind="stable").tolist()
     eu = g.edge_u.tolist()
     ev = g.edge_v.tolist()
     c = g.vertex_c.tolist()
@@ -218,8 +218,6 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
     if max_passes < 0:
         raise ValueError(f"max_passes must be >= 0, got {max_passes}")
     cap = balance_cap(g, epsilon)
-    if g.n < 2 or g.m == 0:
-        return out
     stall_limit = max(100, g.n // 25)
     block = bytearray(out.block)
     blk = np.frombuffer(block, dtype=np.uint8)

@@ -67,8 +67,6 @@ def algebraic_distance(g: Graph, vectors: int = 8, iterations: int = 10,
         raise ValueError("iterations must be nonnegative")
     rng = np.random.default_rng(seed)
     x = rng.random((g.n, vectors))
-    if g.m == 0:
-        return np.empty(0, dtype=np.float64)
     eu, ev, w = g.edge_u, g.edge_v, g.edge_w
     wdeg = np.where(g.weighted_degree > 0, g.weighted_degree, 1.0)
     for _ in range(iterations):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -110,17 +111,12 @@ def root_and_label(g: Graph, tree_edges: Iterable[int], root: int) -> RootedTree
 
 
 def lca(t: RootedTree, u: int, v: int) -> int:
-    """Lowest common ancestor by walking the deeper vertex up first."""
-    depth = t.depth
-    parent = t.parent
-    while depth[u] > depth[v]:
-        u = parent[u]
-    while depth[v] > depth[u]:
-        v = parent[v]
-    while u != v:
-        u = parent[u]
-        v = parent[v]
-    return u
+    """Lowest common ancestor of u and v: a one-pair tree_paths query, so
+    each call builds the lifting tables; batch many pairs with tree_paths."""
+    if not all(isinstance(x, Integral) and 0 <= x < t.n for x in (u, v)):
+        raise ValueError(f"vertex ids must be integers in [0, {t.n}), "
+                         f"got ({u}, {v})")
+    return int(tree_paths(t, [u], [v]).lca[0])
 
 
 class TreePaths(NamedTuple):

@@ -546,6 +546,18 @@ def tadj_root_and_label(g: Graph, tree_edges, root: int) -> RootedTree:
         parent, parent_edge, depth, label, max_label, preorder)))
 
 
+def naive_lca(t: RootedTree, u: int, v: int) -> int:
+    """Oracle: collect u's ancestor set, then walk v upwards."""
+    ancestors = {u}
+    x = u
+    while t.parent[x] != x:
+        x = t.parent[x]
+        ancestors.add(x)
+    while v not in ancestors:
+        v = t.parent[v]
+    return v
+
+
 def postorder_cut_aggregates(g: Graph, t: RootedTree):
     """Oracle: fundamental-cut conductances and the three per-vertex
     aggregates (subtree volume, intra and inter weight) from one postorder

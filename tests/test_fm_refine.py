@@ -77,6 +77,19 @@ def test_families(family, k, kind):
             assert_matches_oracle(g, p, epsilon)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("kind", WEIGHTS)
+def test_edgeless(n, kind):
+    # The oracle returns before its first pass; fm_refine finds an empty
+    # boundary and stops after one, for every start and balance state.
+    g = reweighted(Graph.from_edges(n, []), kind, random.Random(n))
+    for bits in range(2 ** n):
+        p = Partition.from_blocks(g, [(bits >> v) & 1 for v in range(n)])
+        for epsilon in EPSILONS:
+            for max_passes in (0, multilevel.MAX_FM_PASSES):
+                assert_matches_oracle(g, p, epsilon, max_passes)
+
+
 @pytest.mark.parametrize("rating", ["excond", "exp2"])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_every_multilevel_level_on_sf(monkeypatch, rating, seed):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from treepart import (Graph, all_fundamental_conductances, cond_all_edges,
-                      lca, root_and_label, sample_bft)
+                      root_and_label, sample_bft)
 from treepart.fundcut import cut_attributes
 from tests.conftest import (brute_force_conductance, cut_corpus, edge_id,
-                            postorder_cut_aggregates, random_connected_graph,
-                            volume)
+                            naive_lca, postorder_cut_aggregates,
+                            random_connected_graph, volume)
 
 
 def descendants(t, u):
@@ -26,7 +26,8 @@ def brute_attributes(g, t, u):
     for e in range(g.m):
         a, b = int(g.edge_u[e]), int(g.edge_v[e])
         w = float(g.edge_w[e])
-        if a != u and b != u and a in desc and b in desc and lca(t, a, b) == u:
+        if (a != u and b != u and a in desc and b in desc
+                and naive_lca(t, a, b) == u):
             intra += 2.0 * w
         if e not in tree_edges:
             if (a == u and b in desc) or (b == u and a in desc):

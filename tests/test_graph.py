@@ -56,6 +56,42 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
 
+    @pytest.mark.parametrize("edges", [[(0.5, 1.7), (1, 2)],
+                                       np.array([(0.5, 1.7), (1, 2)]),
+                                       [(0.0, 1.0)]])
+    def test_fractional_endpoints_rejected(self, edges):
+        # Truncation would build the edges {0, 1} and {1, 2}.
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            Graph.from_edges(3, edges)
+
+    @pytest.mark.parametrize("weights", [[1.5, 1, 1],
+                                         np.array([1.9, 1, 1]),
+                                         [2.0, 1.0, 1.0]])
+    def test_fractional_vertex_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="vertex weights must be int"):
+            Graph.from_edges(3, [(0, 1), (1, 2)], vertex_weights=weights)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64])
+    def test_integer_dtypes_accepted(self, dtype):
+        g = Graph.from_edges(3, np.array([(2, 1), (0, 1)], dtype=dtype),
+                             vertex_weights=np.array([1, 2, 3], dtype=dtype))
+        assert g.edge_u.tolist() == [0, 1] and g.edge_v.tolist() == [1, 2]
+        assert g.vertex_c.dtype == np.int64
+        assert g.vertex_c.tolist() == [1, 2, 3]
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("edges", [[], np.empty((0, 2), dtype=np.int64),
+                                       iter(())], ids=["list", "array",
+                                                       "iterator"])
+    def test_no_edges(self, n, edges):
+        g = Graph.from_edges(n, edges)
+        assert g.m == 0
+        for arr, dtype in ((g.edge_u, np.int64), (g.edge_v, np.int64),
+                           (g.edge_w, np.float64)):
+            assert arr.dtype == dtype and arr.shape == (0,)
+        assert g.adj_off.tolist() == [0] * (n + 1)
+        assert g.adj_nbr.size == 0 and g.adj_eid.size == 0
+
     def test_adjacency_symmetric(self):
         rng = random.Random(7)
         for _ in range(25):

@@ -144,6 +144,13 @@ class TestAlgebraicDistance:
         b = algebraic_distance(c4, seed=11)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("iterations", [0, 20])
+    def test_edgeless_graph(self, n, iterations):
+        rho = algebraic_distance(Graph.from_edges(n, []),
+                                 iterations=iterations, seed=4)
+        assert rho.dtype == np.float64 and rho.shape == (0,)
+
     def test_smoothing_shrinks_distances(self):
         rng = random.Random(909)
         g = random_connected_graph(rng, n_lo=8, n_hi=12)

@@ -8,21 +8,9 @@ from hypothesis import given, settings, strategies as st
 from treepart import (Graph, lca, minimum_spanning_tree, root_and_label,
                       sample_bft)
 from treepart.spantree import tree_paths
-from tests.conftest import (cut_corpus, kruskal_mst, random_connected_graph,
-                            tadj_root_and_label)
+from tests.conftest import (cut_corpus, kruskal_mst, naive_lca,
+                            random_connected_graph, tadj_root_and_label)
 from tests.test_fundcut import family
-
-
-def naive_lca(t, u, v):
-    """Oracle: collect u's ancestor set, then walk v upwards."""
-    ancestors = {u}
-    x = u
-    while t.parent[x] != x:
-        x = t.parent[x]
-        ancestors.add(x)
-    while v not in ancestors:
-        v = t.parent[v]
-    return v
 
 
 class TestMst:
@@ -302,11 +290,24 @@ class TestLca:
                 u, v = rng.randrange(g.n), rng.randrange(g.n)
                 assert lca(t, u, v) == naive_lca(t, u, v)
 
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (3, 0), (0, 3),
+                                      (0.7, 2), (2, 1.0)])
+    def test_vertex_out_of_range(self, p3, u, v):
+        # -1 would otherwise read vertex 2, 0.7 would truncate to vertex 0
+        # and 3 would raise IndexError.
+        t = root_and_label(p3, [0, 1], root=0)
+        with pytest.raises(ValueError, match="must be integers in"):
+            lca(t, u, v)
+
+    def test_numpy_integer_ids(self, p3):
+        t = root_and_label(p3, [0, 1], root=1)
+        assert lca(t, np.int64(0), np.int32(2)) == 1
+
 
 def walk_path_min(t, u, v, values):
     """Oracle: minimum of values[x] over the vertices x whose parent edge
     lies on the u-v tree path, by walking up to the scalar LCA."""
-    top = lca(t, u, v)
+    top = naive_lca(t, u, v)
     best = math.inf
     for x in (u, v):
         while x != top:
@@ -353,7 +354,7 @@ def test_tree_paths_match_scalar_walk(query):
     a = [u for u, _ in pairs]
     b = [v for _, v in pairs]
     got = tree_paths(t, a, b, values)
-    assert got.lca.tolist() == [lca(t, u, v) for u, v in pairs]
+    assert got.lca.tolist() == [naive_lca(t, u, v) for u, v in pairs]
     assert got.minimum.tolist() == [walk_path_min(t, u, v, values)
                                     for u, v in pairs]
     assert tree_paths(t, a, b).minimum is None
