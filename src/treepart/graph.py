@@ -14,6 +14,26 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+def _int_array(x, what: str, lo: int, hi: float) -> np.ndarray:
+    """x as an int64 array; ValueError unless its dtype is bool or integer
+    and every entry lies in [lo, hi). Floats and strings are never cast."""
+    raw = np.asarray(x)
+    if raw.size and (raw.dtype.kind not in "biu" or raw.min() < lo
+                     or raw.max() >= min(hi, 2 ** 63)):  # int64 must hold it
+        raise ValueError(f"{what} must be integers in [{lo}, {hi})")
+    return raw.astype(np.int64, copy=False)
+
+
+def _float_array(x, what: str, length: int) -> np.ndarray:
+    """x as a new float64 array; ValueError unless it has shape (length,)
+    and a bool, integer or float dtype. Strings are never parsed."""
+    raw = np.asarray(x)
+    if raw.shape != (length,) or raw.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must be numbers in a 1-d array of length "
+                         f"{length}")
+    return raw.astype(np.float64)
+
+
 class Graph:
     """Finite, undirected, simple graph with vertex and edge weights.
 
@@ -48,28 +68,23 @@ class Graph:
                    vertex_weights: Sequence[int] | None = None) -> "Graph":
         """Build a graph from endpoint pairs, assigning canonical edge ids.
 
-        `edges` is an iterable of (u, v) pairs or an integer array of shape
-        (k, 2). Parallel edges are merged by summing their weights.
-        Self-loops are rejected. Missing weights default to 1. The merged
-        weights and the total volume must be finite. Endpoints and vertex
-        weights of a non-integer dtype raise ValueError, never truncate.
+        `edges` is empty or holds (u, v) pairs of integers in [0, n), as an
+        iterable or an array of shape (k, 2). Parallel edges merge by summing
+        their weights; self-loops are rejected. `edge_weights` holds one
+        positive number per pair and `vertex_weights` one integer >= 1 per
+        vertex, both 1 if omitted. Merged weights and the total volume must
+        be finite. Anything else raises ValueError; nothing is cast.
         """
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         raw = np.asarray(edges if isinstance(edges, np.ndarray)
                          else list(edges))
-        if raw.size and raw.dtype.kind not in "biu":
-            raise ValueError(f"edge endpoints must be integers, got "
-                             f"{raw.dtype}")
-        pairs = raw.astype(np.int64, copy=False).reshape(-1, 2)
-        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
-            raise ValueError("vertex id out of range")
-        if edge_weights is None:
-            w = np.ones(len(pairs), dtype=np.float64)
-        else:
-            w = np.asarray(edge_weights, dtype=np.float64)
-            if len(w) != len(pairs):
-                raise ValueError("edge_weights length mismatch")
+        if raw.size and (raw.ndim != 2 or raw.shape[1] != 2):
+            raise ValueError(f"edges must be (u, v) pairs of shape (k, 2), "
+                             f"got shape {raw.shape}")
+        pairs = _int_array(raw, "edge endpoints", 0, n).reshape(-1, 2)
+        w = (np.ones(len(pairs)) if edge_weights is None
+             else _float_array(edge_weights, "edge_weights", len(pairs)))
         if not np.all(w > 0):
             raise ValueError("edge weights must be strictly positive")
 
@@ -95,15 +110,9 @@ class Graph:
         if vertex_weights is None:
             c = np.ones(n, dtype=np.int64)
         else:
-            c = np.asarray(vertex_weights)
-            if c.dtype.kind not in "biu":
-                raise ValueError(f"vertex weights must be integers, got "
-                                 f"{c.dtype}")
-            c = c.astype(np.int64, copy=False)
-            if len(c) != n:
+            c = _int_array(vertex_weights, "vertex weights", 1, np.inf)
+            if c.shape != (n,):
                 raise ValueError("vertex_weights length mismatch")
-            if np.any(c <= 0):
-                raise ValueError("vertex weights must be positive integers")
         return cls(n, edge_u, edge_v, edge_w, c)
 
     def _build_csr(self):

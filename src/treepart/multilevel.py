@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fundcut import all_fundamental_conductances
-from .graph import Graph, check_connected
+from .graph import Graph, _float_array, _int_array, check_connected
 from .partition import Partition, balance_cap, check_partition, is_balanced
 from .rating import (algebraic_distance, cond_all_edges, ex_alg, ex_cond,
                      expansion_star2)
@@ -79,9 +79,7 @@ def greedy_matching(g: Graph, rating: np.ndarray,
     is already matched or the merged vertex would exceed max_vertex_weight.
     Returns the mate of each vertex, -1 if unmatched.
     """
-    vals = np.asarray(rating, dtype=np.float64)
-    if len(vals) != g.m:
-        raise ValueError("rating length must equal edge count")
+    vals = _float_array(rating, "rating", g.m)
     if not np.all(np.isfinite(vals)):
         raise ValueError("ratings must be finite")
     order = np.argsort(-vals, kind="stable").tolist()
@@ -106,12 +104,9 @@ def contract(g: Graph, mate: np.ndarray) -> tuple[Graph, np.ndarray]:
     [-1, n) per vertex (floats such as 1.9 are not cast) and pairs them
     symmetrically.
     """
-    raw = np.asarray(mate)
-    if raw.shape == (g.n,) and raw.dtype.kind not in "biu":
-        raise ValueError(f"mate entries must be integers, got {raw.dtype}")
-    if raw.shape != (g.n,) or raw.min() < -1 or raw.max() >= g.n:
+    if np.shape(mate) != (g.n,):
         raise ValueError("mate must hold one entry in [-1, n) per vertex")
-    mate = raw.astype(np.int64)
+    mate = _int_array(mate, "mate entries", -1, g.n)
     ids = np.arange(g.n)
     ok = (mate < 0) | ((mate != ids) & (mate[np.maximum(mate, 0)] == ids))
     if not ok.all():

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _int_array
 
 
 @dataclass
@@ -34,9 +34,7 @@ def _as_blocks(g: Graph, block) -> np.ndarray:
     raw = np.asarray(block)
     if raw.shape != (g.n,):
         raise ValueError("block array length must equal vertex count")
-    if raw.dtype.kind not in "biu" or not ((raw == 0) | (raw == 1)).all():
-        raise ValueError("block ids must be 0 or 1")
-    return raw.astype(np.int64)
+    return _int_array(raw, "block ids", 0, 2)
 
 
 def _block_weights(g: Graph, blk: np.ndarray) -> list[int]:

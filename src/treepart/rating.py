@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _float_array
 from .spantree import RootedTree, tree_paths
 
 
@@ -26,9 +26,7 @@ def cond_all_edges(g: Graph, t: RootedTree,
     """
     if t.n != g.n:
         raise ValueError("tree does not match graph")
-    out = np.array(tree_conds, dtype=np.float64, copy=True)
-    if out.shape != (g.m,):
-        raise ValueError("tree_conds must have one entry per edge")
+    out = _float_array(tree_conds, "tree_conds", g.m)
     non_tree = np.flatnonzero(np.isnan(out))
     if non_tree.size == 0:
         return out

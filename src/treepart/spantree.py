@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph, _boruvka
+from .graph import Graph, _boruvka, _float_array, _int_array
 
 
 @dataclass(eq=False)
@@ -45,9 +44,7 @@ def minimum_spanning_tree(g: Graph, values: Sequence[float]) -> np.ndarray:
     Built by Borůvka hooking (see graph._boruvka). The order is strict, so
     the tree is unique and is the one Kruskal builds with ties broken by id.
     """
-    vals = np.asarray(values, dtype=np.float64)
-    if len(vals) != g.m:
-        raise ValueError("values length must equal edge count")
+    vals = _float_array(values, "values", g.m)
     if not np.all(np.isfinite(vals)):
         raise ValueError("edge values must be finite")
     taken, _ = _boruvka(g, np.argsort(vals, kind="stable"))
@@ -57,20 +54,18 @@ def minimum_spanning_tree(g: Graph, values: Sequence[float]) -> np.ndarray:
     return tree
 
 
-def root_and_label(g: Graph, tree_edges: Iterable[int], root: int) -> RootedTree:
+def root_and_label(g: Graph, tree_edges: Sequence[int], root: int) -> RootedTree:
     """Root a spanning tree and compute preorder labels in one traversal.
 
     Children are visited in ascending vertex id, making labels independent
-    of the order in which tree edges are supplied.
+    of the order in which the tree edge ids (integers in [0, m)) are
+    supplied. The root is an integer in [0, n).
     """
     n = g.n
-    edges = np.sort(np.fromiter(tree_edges, dtype=np.int64))
-    if len(edges) != n - 1:
+    edges = np.sort(_int_array(tree_edges, "tree edge ids", 0, g.m))
+    if edges.shape != (n - 1,):
         raise ValueError("tree_edges must contain exactly n-1 edges")
-    if edges.size and (edges[0] < 0 or edges[-1] >= g.m):
-        raise ValueError("tree edge id out of range")
-    if not 0 <= root < n:
-        raise ValueError("root out of range")
+    root = int(_int_array(root, "root", 0, n))
     # The tree as a graph of its own: its CSR lists each vertex's tree
     # neighbours in ascending id, and adj_eid indexes `edges`.
     tree = Graph(n, g.edge_u[edges], g.edge_v[edges], g.edge_w[edges],
@@ -111,11 +106,9 @@ def root_and_label(g: Graph, tree_edges: Iterable[int], root: int) -> RootedTree
 
 
 def lca(t: RootedTree, u: int, v: int) -> int:
-    """Lowest common ancestor of u and v: a one-pair tree_paths query, so
-    each call builds the lifting tables; batch many pairs with tree_paths."""
-    if not all(isinstance(x, Integral) and 0 <= x < t.n for x in (u, v)):
-        raise ValueError(f"vertex ids must be integers in [0, {t.n}), "
-                         f"got ({u}, {v})")
+    """Lowest common ancestor of the vertex ids u and v, integers in [0, n):
+    a one-pair tree_paths query, so each call builds the lifting tables;
+    batch many pairs with tree_paths."""
     return int(tree_paths(t, [u], [v]).lca[0])
 
 
@@ -139,12 +132,14 @@ def tree_paths(t: RootedTree, a, b, values=None) -> TreePaths:
 
     Binary lifting over the parent array: with L = bit length of the tree
     depth, building the 2^k-ancestor tables takes n(L-1) steps and each pair
-    takes 2L, so a batch of q pairs costs O((n + q) log n). values[v] is the
-    value of v's parent edge; the root's entry is ignored.
+    takes 2L, so a batch of q pairs costs O((n + q) log n). a and b hold
+    integer vertex ids in [0, n). values[v], one number per vertex, is the
+    value of v's parent edge; the root's entry is ignored. Anything else
+    raises ValueError; nothing is cast.
     """
     parent, depth = t.parent, t.depth
-    a = np.array(a, dtype=np.int64)
-    b = np.array(b, dtype=np.int64)
+    a = _int_array(a, "vertex ids", 0, t.n)
+    b = _int_array(b, "vertex ids", 0, t.n)
     levels = max(1, int(depth.max()).bit_length())
     up = [parent]
     for _ in range(1, levels):
@@ -153,13 +148,13 @@ def tree_paths(t: RootedTree, a, b, values=None) -> TreePaths:
     if values is not None:
         # mn[k][v]: minimum over the 2^k parent edges above v. Windows that
         # reach past the root are never read, so the root's entry is unused.
-        mn = [np.asarray(values, dtype=np.float64)]
+        mn = [_float_array(values, "values", t.n)]
         for k in range(levels - 1):
             mn.append(np.minimum(mn[k], mn[k][up[k]]))
         mins = np.full(a.size, np.inf)
 
     swap = depth[a] < depth[b]
-    a[swap], b[swap] = b[swap], a[swap]
+    a, b = np.where(swap, b, a), np.where(swap, a, b)  # not the caller's
     lift = depth[a] - depth[b]
     for k in range(levels):
         sel = np.flatnonzero((lift >> k) & 1)

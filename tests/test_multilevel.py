@@ -113,7 +113,9 @@ class TestContract:
                                       [[1, 0, -1]]],
                              ids=["past-n", "below-minus-one", "short", "2d"])
     def test_mate_outside_range_or_shape_rejected(self, p3, mate):
-        with pytest.raises(ValueError, match=r"one entry in \[-1, n\)"):
+        match = (r"mate entries must be integers in \[-1, 3\)"
+                 if np.shape(mate) == (3,) else r"one entry in \[-1, n\)")
+        with pytest.raises(ValueError, match=match):
             contract(p3, np.array(mate))
 
     @pytest.mark.parametrize("mate", [[1.9, 0.3, -1], [np.nan, -1, -1],

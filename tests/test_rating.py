@@ -81,7 +81,8 @@ class TestCondAllEdges:
             n = int(case[-1])
             path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
             t = root_and_label(path, list(range(n - 1)), root=0)
-        match = "tree does not match" if case.startswith("tree") else "entry"
+        match = ("tree does not match" if case.startswith("tree")
+                 else r"tree_conds must be numbers in a 1-d array of length 4")
         with pytest.raises(ValueError, match=match):
             cond_all_edges(c4, t, conds)
 

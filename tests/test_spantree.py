@@ -115,7 +115,8 @@ class TestRootAndLabel:
     @pytest.mark.parametrize("edges", [[-1, 0], [0, 2], [1, 5]])
     def test_edge_id_out_of_range_rejected(self, p3, edges):
         # -1 would index the last edge, leaving a parent without an edge.
-        with pytest.raises(ValueError, match="^tree edge id out of range$"):
+        match = r"^tree edge ids must be integers in \[0, 2\)$"
+        with pytest.raises(ValueError, match=match):
             root_and_label(p3, edges, root=0)
 
 
