@@ -13,6 +13,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# Vertex weights and their total must stay below this: float64 holds every
+# integer below it, so weights read as floats, `contract`'s merged weights
+# and `balance_cap`'s ceil(total / 2) are exact, and the int64 total cannot
+# wrap.
+WEIGHT_LIMIT = 2 ** 53
+
 
 def _int_array(x, what: str, lo: int, hi: float) -> np.ndarray:
     """x as an int64 array; ValueError unless its dtype is bool or integer
@@ -73,7 +79,8 @@ class Graph:
         their weights; self-loops are rejected. `edge_weights` holds one
         positive number per pair and `vertex_weights` one integer >= 1 per
         vertex, both 1 if omitted. Merged weights and the total volume must
-        be finite. Anything else raises ValueError; nothing is cast.
+        be finite, and the vertex weights must sum to less than 2**53.
+        Anything else raises ValueError; nothing is cast.
         """
         if n < 1:
             raise ValueError("graph needs at least one vertex")
@@ -113,6 +120,10 @@ class Graph:
             c = _int_array(vertex_weights, "vertex weights", 1, np.inf)
             if c.shape != (n,):
                 raise ValueError("vertex_weights length mismatch")
+            # Exact for positive integers: the float64 sum reaches 2**53
+            # exactly when the true sum does.
+            if c.sum(dtype=np.float64) >= WEIGHT_LIMIT:
+                raise ValueError("vertex weights must sum to less than 2**53")
         return cls(n, edge_u, edge_v, edge_w, c)
 
     def _build_csr(self):

@@ -14,8 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import Graph
-from .partition import (Partition, _as_blocks, balance_cap, check_partition,
-                        is_balanced)
+from .partition import Partition, _as_blocks, _weights_by_block, balance_cap
 
 
 def _boundary(g: Graph, blk: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -95,19 +94,19 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
     The moves trade edge cut for communication volume, so the cut may grow.
     `on_accept`, if given, is called after every accepted move with the
     maintained (block, volumes, external_degree) state; tests use it to
-    cross-check the incremental bookkeeping. Raises ValueError when p is
-    malformed (see :func:`check_partition`) or unbalanced, or rounds < 0.
+    cross-check the incremental bookkeeping. Raises ValueError when p.block
+    is malformed (see :meth:`Partition.from_blocks`), a block weight
+    recounted from it exceeds the balance cap, or rounds < 0.
     """
-    out = check_partition(g, p)
+    blk = _as_blocks(g, p.block)
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    if not is_balanced(g, out, epsilon):
-        raise ValueError("input partition violates the balance constraint")
     cap = balance_cap(g, epsilon)
+    bw = _weights_by_block(g, blk)
+    if max(bw) > cap:
+        raise ValueError("input partition violates the balance constraint")
     n = g.n
-    block = out.block
-    bw = out.block_weight
-    blk = np.asarray(block)
+    block = blk.tolist()
     ext, vols = _boundary(g, blk)
     src = g.csr_src
     ext_nbr = ext[g.adj_nbr]
@@ -209,4 +208,4 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
     if stats is not None:
         stats["rounds"] = executed
         stats["max_round_touches"] = max_touches
-    return out
+    return Partition(block)

@@ -25,12 +25,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .graph import Graph
-
-# Vertex weights and their total must stay below this: float64 holds every
-# integer below it, so weights read as floats and `balance_cap`'s
-# ceil(total / 2) are exact, and the int64 total cannot wrap.
-WEIGHT_LIMIT = 2 ** 53
+from .graph import WEIGHT_LIMIT, Graph
 
 
 class MetisFormatError(ValueError):
@@ -130,8 +125,7 @@ def _build(rows: list[list[str]], n: int, m: int, has_vweights: bool,
     if not (np.all((ids >= 1) & (ids <= n) & (dst != src))
             and np.all((w > 0) & (w < math.inf))):
         return None
-    if not (np.all((cw > 0) & (np.floor(cw) == cw) & (cw < WEIGHT_LIMIT))
-            and math.fsum(cw.tolist()) < WEIGHT_LIMIT):  # exact sum
+    if not np.all((cw > 0) & (np.floor(cw) == cw) & (cw < WEIGHT_LIMIT)):
         return None
     merged = _merge_pairs(src, dst, w, n)
     if merged is None:
@@ -139,7 +133,7 @@ def _build(rows: list[list[str]], n: int, m: int, has_vweights: bool,
     try:
         return Graph.from_edges(n, merged[0], edge_weights=merged[1],
                                 vertex_weights=cw.astype(np.int64))
-    except ValueError:  # all but the weight-overflow rule hold here
+    except ValueError:  # the weight-overflow or the 2**53 total rule
         return None
 
 

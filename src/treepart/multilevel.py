@@ -19,7 +19,8 @@ import numpy as np
 
 from .fundcut import all_fundamental_conductances
 from .graph import Graph, _float_array, _int_array, check_connected
-from .partition import Partition, balance_cap, check_partition, is_balanced
+from .partition import (Partition, _as_blocks, _weights_by_block, balance_cap,
+                        is_balanced)
 from .rating import (algebraic_distance, cond_all_edges, ex_alg, ex_cond,
                      expansion_star2)
 from .sampling import contrast
@@ -198,8 +199,8 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
     to produce a new best prefix; the tail of a stalled sequence is nearly
     always reverted anyway, and skipping it keeps passes cheap on large
     graphs. Stops after a pass that improves neither balance nor cut.
-    Raises ValueError when p is malformed (see :func:`check_partition`),
-    max_passes < 0 or epsilon is not >= 0.
+    Raises ValueError when p.block is malformed (see
+    :meth:`Partition.from_blocks`), max_passes < 0 or epsilon is not >= 0.
 
     The candidates are ordered by (cut change, stamp). A pass starts them
     as one sorted run: the boundary vertices in vertex-id order take the
@@ -209,14 +210,14 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
     smaller cut change. That is the pop order of a single heap holding
     both, since no two entries share a stamp.
     """
-    out = check_partition(g, p)
+    blk = _as_blocks(g, p.block)
     if max_passes < 0:
         raise ValueError(f"max_passes must be >= 0, got {max_passes}")
     cap = balance_cap(g, epsilon)
     stall_limit = max(100, g.n // 25)
-    block = bytearray(out.block)
+    bw = _weights_by_block(g, blk)
+    block = bytearray(blk.astype(np.uint8))
     blk = np.frombuffer(block, dtype=np.uint8)
-    bw = out.block_weight
     off = g.adj_off_list
     nbr = g.adj_nbr_list
     w = g.adj_w_list
@@ -311,7 +312,7 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
             bw[b] += c[v]
         if best[:2] >= start[:2]:
             break
-    return Partition(list(block), bw)
+    return Partition(list(block))
 
 
 def partition_multilevel(g: Graph, cfg: PartitionConfig) -> Partition:
@@ -340,8 +341,7 @@ def partition_multilevel(g: Graph, cfg: PartitionConfig) -> Partition:
                             rng.getrandbits(64))
     p = fm_refine(cur, p, cfg.epsilon, MAX_FM_PASSES)
     for fine, cmap in reversed(levels):
-        # Contraction adds up vertex weights, so the block weights carry over.
-        p = Partition(np.asarray(p.block)[cmap].tolist(), list(p.block_weight))
+        p = Partition(np.asarray(p.block)[cmap].tolist())
         p = fm_refine(fine, p, cfg.epsilon, MAX_FM_PASSES)
     if not is_balanced(g, p, cfg.epsilon):
         logger.warning("final partition violates the balance constraint "

@@ -1,4 +1,4 @@
-"""Two-block vertex partition with maintained block weights."""
+"""Two-block vertex partition; block weights are recounted where used."""
 
 from __future__ import annotations
 
@@ -12,20 +12,18 @@ from .graph import Graph, _int_array
 
 @dataclass
 class Partition:
-    """Block assignment plus the two block weights the refiners maintain.
+    """The block, 0 or 1, of every vertex.
 
-    block[v] is 0 or 1. block_weight can be recomputed from `block` alone
-    via :meth:`from_blocks`; per-vertex boundary state is not stored here,
-    since only MCV postprocessing keeps any and it builds its own.
+    Nothing else is stored: the block weights and the boundary state are
+    counted from `block` by the code that needs them, so they cannot go
+    stale.
     """
 
     block: list[int]
-    block_weight: list[int]
 
     @classmethod
     def from_blocks(cls, g: Graph, block) -> "Partition":
-        blk = _as_blocks(g, block)
-        return cls(blk.tolist(), _block_weights(g, blk))
+        return cls(_as_blocks(g, block).tolist())
 
 
 def _as_blocks(g: Graph, block) -> np.ndarray:
@@ -37,20 +35,8 @@ def _as_blocks(g: Graph, block) -> np.ndarray:
     return _int_array(raw, "block ids", 0, 2)
 
 
-def _block_weights(g: Graph, blk: np.ndarray) -> list[int]:
+def _weights_by_block(g: Graph, blk: np.ndarray) -> list[int]:
     return [int(g.vertex_c[blk == 0].sum()), int(g.vertex_c[blk == 1].sum())]
-
-
-def check_partition(g: Graph, p: Partition) -> Partition:
-    """Raise ValueError unless p assigns each of g's n vertices to block 0
-    or 1 and p.block_weight equals the recounted block weights. Returns a
-    copy of p whose fields are fresh lists of Python ints."""
-    blk = _as_blocks(g, p.block)
-    weights = _block_weights(g, blk)
-    if weights != list(p.block_weight):
-        raise ValueError("block_weight does not match the block weights "
-                         "recounted from block")
-    return Partition(blk.tolist(), weights)
 
 
 def balance_cap(g: Graph, epsilon: float) -> float:
@@ -64,4 +50,8 @@ def balance_cap(g: Graph, epsilon: float) -> float:
 
 
 def is_balanced(g: Graph, p: Partition, epsilon: float) -> bool:
-    return max(p.block_weight) <= balance_cap(g, epsilon)
+    """True iff both block weights, recounted from p.block, are at most
+    balance_cap(g, epsilon). Raises ValueError when p.block is malformed
+    (see Partition.from_blocks) or epsilon is not >= 0."""
+    weights = _weights_by_block(g, _as_blocks(g, p.block))
+    return max(weights) <= balance_cap(g, epsilon)

@@ -45,7 +45,8 @@ def expansion_star2(g: Graph) -> np.ndarray:
 def ex_cond(g: Graph, cond: np.ndarray) -> np.ndarray:
     """Edge weight times cut conductance over endpoint weight product."""
     c = g.vertex_c.astype(np.float64)
-    return g.edge_w * np.asarray(cond) / (c[g.edge_u] * c[g.edge_v])
+    cond = _float_array(cond, "cond", g.m)
+    return g.edge_w * cond / (c[g.edge_u] * c[g.edge_v])
 
 
 def algebraic_distance(g: Graph, vectors: int = 8, iterations: int = 10,
@@ -79,4 +80,4 @@ def algebraic_distance(g: Graph, vectors: int = 8, iterations: int = 10,
 
 def ex_alg(g: Graph, rho: np.ndarray) -> np.ndarray:
     """Expansion rating scaled by inverse algebraic distance."""
-    return expansion_star2(g) / np.asarray(rho)
+    return expansion_star2(g) / _float_array(rho, "rho", g.m)

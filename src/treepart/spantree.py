@@ -133,13 +133,16 @@ def tree_paths(t: RootedTree, a, b, values=None) -> TreePaths:
     Binary lifting over the parent array: with L = bit length of the tree
     depth, building the 2^k-ancestor tables takes n(L-1) steps and each pair
     takes 2L, so a batch of q pairs costs O((n + q) log n). a and b hold
-    integer vertex ids in [0, n). values[v], one number per vertex, is the
-    value of v's parent edge; the root's entry is ignored. Anything else
-    raises ValueError; nothing is cast.
+    integer vertex ids in [0, n), in two 1-d arrays of one length.
+    values[v], one number per vertex, is the value of v's parent edge; the
+    root's entry is ignored. Anything else raises ValueError; nothing is
+    cast.
     """
     parent, depth = t.parent, t.depth
     a = _int_array(a, "vertex ids", 0, t.n)
     b = _int_array(b, "vertex ids", 0, t.n)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError("vertex pairs must be two 1-d arrays of one length")
     levels = max(1, int(depth.max()).bit_length())
     up = [parent]
     for _ in range(1, levels):

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from treepart import (Graph, MetisFormatError, Partition, RootedTree,
-                      balance_cap, is_balanced, sample_bft)
-from treepart.partition import check_partition
+                      balance_cap, sample_bft)
 
 
 @pytest.fixture
@@ -55,14 +54,12 @@ def chorded_c6() -> Graph:
                                 (0, 5), (0, 3)])
 
 
-# Partitions of chorded_c6 that a refiner must reject, with the message.
+# Blocks of chorded_c6 that a refiner must reject, with the message.
 MALFORMED_PARTITIONS = [
-    pytest.param([0, 0, 0, 1, 1, 1], [0, 0], "block_weight", id="stale"),
-    pytest.param([0, 0, 0, 1, 1, 1], [4, 2], "block_weight", id="off"),
-    pytest.param([0, 0, 0, 1, 1, 2], [3, 3], "block ids", id="id-2"),
-    pytest.param([0, 0, 0, 1, 1, -1], [3, 3], "block ids", id="id-neg"),
-    pytest.param([0, 0, 0, 1, 1, 0.5], [3, 3], "block ids", id="id-half"),
-    pytest.param([0, 0, 0, 1, 1], [3, 2], "length", id="short"),
+    pytest.param([0, 0, 0, 1, 1, 2], "block ids", id="id-2"),
+    pytest.param([0, 0, 0, 1, 1, -1], "block ids", id="id-neg"),
+    pytest.param([0, 0, 0, 1, 1, 0.5], "block ids", id="id-half"),
+    pytest.param([0, 0, 0, 1, 1], "length", id="short"),
 ]
 
 
@@ -93,8 +90,17 @@ def volume(g: Graph, vertices) -> float:
 
 
 def copy_partition(p: Partition) -> Partition:
-    """Independent lists, also when the fields are arrays or tuples."""
-    return Partition(list(p.block), list(p.block_weight))
+    """An independent block list, also when p.block is an array or tuple."""
+    return Partition(list(p.block))
+
+
+def block_weights(g: Graph, block) -> list[int]:
+    """Oracle: the two block weights, summed one vertex at a time."""
+    c = g.vertex_c.tolist()
+    weights = [0, 0]
+    for v, b in enumerate(block):
+        weights[b] += c[v]
+    return weights
 
 
 def random_connected_graph(rng: random.Random, n_lo: int = 3, n_hi: int = 12,
@@ -166,12 +172,12 @@ def scalar_mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
-    if not is_balanced(g, p, epsilon):
-        raise ValueError("input partition violates the balance constraint")
     out = copy_partition(p)
     cap = balance_cap(g, epsilon)
     block = out.block
-    bw = out.block_weight
+    bw = block_weights(g, block)
+    if max(bw) > cap:
+        raise ValueError("input partition violates the balance constraint")
     ext = external_degrees(g, block)
     vols = [sum(1 for v in range(g.n) if ext[v] and block[v] == b)
             for b in (0, 1)]
@@ -244,7 +250,7 @@ def scalar_fm_refine(g: Graph, p: Partition, epsilon: float,
     every pass lists the boundary in a loop over all n vertices and builds
     one heap of (cut change, stamp, vertex) entries from it.
     """
-    out = check_partition(g, p)
+    out = Partition.from_blocks(g, p.block)
     if max_passes < 0:
         raise ValueError(f"max_passes must be >= 0, got {max_passes}")
     cap = balance_cap(g, epsilon)
@@ -252,7 +258,7 @@ def scalar_fm_refine(g: Graph, p: Partition, epsilon: float,
         return out
     stall_limit = max(100, g.n // 25)
     block = out.block
-    bw = out.block_weight
+    bw = block_weights(g, block)
     off = g.adj_off_list
     nbr = g.adj_nbr_list
     w = g.adj_w_list

@@ -24,9 +24,9 @@ from treepart import (Partition, PartitionConfig, all_fundamental_conductances,
                       save_metis)
 from treepart.cli import main as cli_main
 from treepart.fundcut import cut_attributes
-from tests.conftest import (brute_force_conductance, cut_corpus,
-                            external_degrees, random_balanced_blocks,
-                            random_connected_graph)
+from tests.conftest import (block_weights, brute_force_conductance,
+                            cut_corpus, external_degrees,
+                            random_balanced_blocks, random_connected_graph)
 from tests.test_fundcut import brute_attributes, family, tree_plus_chords
 from tests.test_rating import brute_cond
 
@@ -225,7 +225,8 @@ def test_criterion_6_balance(desk_grid):
     for _ in range(25):
         g = random_connected_graph(rng, n_lo=4, n_hi=30)
         p = partition_multilevel(g, PartitionConfig(trees=6, seed=1))
-        flags.append(max(p.block_weight) <= balance_cap(g, 0.03) + 1e-9)
+        flags.append(max(block_weights(g, p.block))
+                     <= balance_cap(g, 0.03) + 1e-9)
     ok = all(flags)
     report(6, ok, f"(1+0.03)*ceil(W/2) balance held on {len(flags)} "
                   f"emitted partitions")

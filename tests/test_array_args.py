@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from treepart import (Graph, Partition, all_fundamental_conductances,
-                      cond_all_edges, contract, greedy_matching,
-                      minimum_spanning_tree, root_and_label)
-from treepart.partition import check_partition
+                      cond_all_edges, contract, ex_alg, ex_cond,
+                      greedy_matching, is_balanced, minimum_spanning_tree,
+                      root_and_label)
 from treepart.spantree import tree_paths
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "treepart"
@@ -57,12 +57,16 @@ REJECTED = {
         2, [(0, 1)], vertex_weights=["1", "1"]),
     "vertex-weights-uint64-wraps": lambda: Graph.from_edges(
         2, [(0, 1)], vertex_weights=np.array([1, 2 ** 63], dtype=np.uint64)),
+    "vertex-weights-total-wraps": lambda: Graph.from_edges(
+        3, [(0, 1), (1, 2)], vertex_weights=[2 ** 62] * 3),
+    "vertex-weights-total-at-limit": lambda: Graph.from_edges(
+        3, [(0, 1), (1, 2)], vertex_weights=[2 ** 52, 2 ** 52 - 1, 1]),
     # Block ids of a partition.
     "blocks-float32": lambda: Partition.from_blocks(
         p3(), np.array([0, 1, 1], dtype=np.float32)),
     "blocks-string": lambda: Partition.from_blocks(p3(), ["0", "1", "1"]),
-    "blocks-uint8-255": lambda: check_partition(
-        p3(), Partition(np.array([0, 1, 255], dtype=np.uint8), [1, 2])),
+    "blocks-uint8-255": lambda: is_balanced(
+        p3(), Partition(np.array([0, 1, 255], dtype=np.uint8)), 0.03),
     # contract's mate.
     "mate-float32": lambda: contract(
         p3(), np.array([1, 0, -1], dtype=np.float32)),
@@ -82,6 +86,9 @@ REJECTED = {
     "pairs-minus-one": lambda: tree_paths(p3_tree(), [-1], [1]),
     "pairs-past-n": lambda: tree_paths(p3_tree(), [0], [3]),
     "pairs-string": lambda: tree_paths(p3_tree(), ["0"], [1]),
+    "pairs-broadcast": lambda: tree_paths(p3_tree(), [2], [0, 1, 2]),
+    "pairs-2d": lambda: tree_paths(p3_tree(), [[2]], [0]),
+    "pairs-2d-both": lambda: tree_paths(p3_tree(), [[0, 1]], [[2, 2]]),
     "path-values-string": lambda: tree_paths(
         p3_tree(), [0], [2], ["1", "2", "3"]),
     "path-values-short": lambda: tree_paths(p3_tree(), [0], [2], [1.0, 2.0]),
@@ -91,6 +98,8 @@ REJECTED = {
     "mst-values-short": lambda: minimum_spanning_tree(triangle(), [1, 2]),
     "rating-string": lambda: greedy_matching(triangle(), ["1", "2", "3"], 10),
     "rating-long": lambda: greedy_matching(triangle(), [1, 2, 3, 4], 10),
+    "ex-cond-short": lambda: ex_cond(p3(), [0.5]),
+    "ex-alg-short": lambda: ex_alg(p3(), [2.0]),
     "tree-conds-string": lambda: cond_all_edges(
         triangle(), root_and_label(triangle(), [0, 1], 0),
         conds(triangle()).astype(str)),
@@ -116,6 +125,10 @@ def test_accepted_forms():
     assert tree_paths(t, np.array([0], dtype=np.int16), [2]).lca.tolist() \
         == [1]
     assert minimum_spanning_tree(triangle(), [3, 2, 1]).tolist() == [1, 2]
+    # Vertex weights may sum to just below 2**53.
+    g = Graph.from_edges(3, [(0, 1), (1, 2)],
+                         vertex_weights=[2 ** 52, 2 ** 52 - 2, 1])
+    assert int(g.vertex_c.sum()) == 2 ** 53 - 1
 
 
 def test_dtype_rule_lives_in_graph_module():
@@ -124,3 +137,10 @@ def test_dtype_rule_lives_in_graph_module():
     users = sorted(p.name for p in SRC.glob("*.py")
                    if "dtype.kind" in p.read_text())
     assert users == ["graph.py"]
+
+
+def test_weight_limit_lives_in_graph_module():
+    # The 2**53 rule for vertex weights has one home, graph.WEIGHT_LIMIT.
+    homes = sorted(p.name for p in SRC.glob("*.py")
+                   if "WEIGHT_LIMIT =" in p.read_text())
+    assert homes == ["graph.py"]
