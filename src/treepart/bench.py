@@ -16,8 +16,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .graph import Graph, check_connected
-from .mcv import edge_cut, mcv, mcv_postprocess
+from .graph import Graph, _int_array, check_connected
+from .mcv import MCV_ROUNDS, edge_cut, mcv, mcv_postprocess
 from .metis_io import load_metis
 from .multilevel import PartitionConfig, partition_multilevel
 
@@ -70,8 +70,8 @@ def geometric_mean(values) -> float:
 
 
 def run_single(g: Graph, cfg: PartitionConfig, seed: int, *,
-               postprocess: bool = True,
-               mcv_rounds: int = 20) -> tuple[int, float, float, list[int]]:
+               postprocess: bool = True, mcv_rounds: int = MCV_ROUNDS
+               ) -> tuple[int, float, float, list[int]]:
     """One seeded run: returns (mcv, cut before postprocessing, seconds, blocks)."""
     t0 = time.perf_counter()
     p = partition_multilevel(g, replace(cfg, seed=seed))
@@ -106,7 +106,7 @@ def _reject_duplicates(what: str, names: list[str]) -> None:
 
 
 def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
-                   postprocess: bool = True, mcv_rounds: int = 20,
+                   postprocess: bool = True, mcv_rounds: int = MCV_ROUNDS,
                    jobs: int = 1) -> ExperimentReport:
     """Run the full (graph x config) grid.
 
@@ -115,16 +115,14 @@ def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
     `errors`. Two paths with the same name (file name without `.graph`)
     are rejected, and so are two configs with the same `config_label`,
     since rows and quotients are keyed by it. The first config is the
-    reference for quotients.
+    reference for quotients. Raises ValueError unless runs and jobs are
+    integers >= 1 and mcv_rounds one >= 0.
     """
-    if runs < 1:
-        raise ValueError("need at least one run")
+    runs = int(_int_array(runs, "runs", 1, math.inf))
     if not configs:
         raise ValueError("need at least one config")
-    if mcv_rounds < 0:
-        raise ValueError("mcv_rounds must be >= 0")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    mcv_rounds = int(_int_array(mcv_rounds, "mcv_rounds", 0, math.inf))
+    jobs = int(_int_array(jobs, "jobs", 1, math.inf))
     _reject_duplicates("config labels", [config_label(c) for c in configs])
     graph_paths = list(graph_paths)
     names = [_graph_name(path) for path in graph_paths]

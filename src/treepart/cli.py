@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from .bench import emit_csv, emit_table, run_experiment
+from .mcv import MCV_ROUNDS
 from .metis_io import write_partition
 from .multilevel import RATINGS, PartitionConfig
 
@@ -20,18 +21,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rating", action="append", choices=RATINGS,
                    help="edge rating (default excond); repeat to compare "
                         "several, the first one is the quotient reference")
-    p.add_argument("--trees", type=int, default=20,
+    p.add_argument("--trees", type=int, default=PartitionConfig.trees,
                    help="spanning trees sampled per level for excond")
-    p.add_argument("--epsilon", type=float, default=0.03,
+    p.add_argument("--epsilon", type=float, default=PartitionConfig.epsilon,
                    help="allowed block imbalance")
     p.add_argument("--runs", type=int, default=50,
                    help="seeded runs per graph and config")
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--mcv-rounds", type=int, default=20,
+    p.add_argument("--mcv-rounds", type=int, default=MCV_ROUNDS,
                    help="postprocessing rounds")
     p.add_argument("--no-postprocessing", action="store_true",
                    help="skip MCV postprocessing")
-    p.add_argument("--coarsest-size", type=int, default=60,
+    p.add_argument("--coarsest-size", type=int,
+                   default=PartitionConfig.coarsest_size,
                    help="stop coarsening at this many vertices")
     p.add_argument("--output", metavar="CSV", help="write the CSV report here")
     p.add_argument("--partition-out", metavar="PATH",

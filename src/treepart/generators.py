@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 
-from .graph import Graph
+from .graph import Graph, _int_array
 
 
 def generate_scale_free(n: int, attach: int, seed: int) -> Graph:
@@ -13,9 +14,10 @@ def generate_scale_free(n: int, attach: int, seed: int) -> Graph:
     Starts from a star on attach+1 vertices; every further vertex connects
     to `attach` distinct existing vertices chosen proportionally to degree.
     Deterministic for a fixed (n, attach, seed). All weights are 1.
+    Raises ValueError unless n and attach are integers, 1 <= attach < n.
     """
-    if attach < 1 or n < attach + 1:
-        raise ValueError("need n >= attach + 1 >= 2")
+    attach = int(_int_array(attach, "attach", 1, math.inf))
+    n = int(_int_array(n, "n", attach + 1, math.inf))
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = [(0, j) for j in range(1, attach + 1)]
     # Flat endpoint multiset; sampling an index uniformly is sampling a

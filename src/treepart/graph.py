@@ -24,8 +24,9 @@ def _int_array(x, what: str, lo: int, hi: float) -> np.ndarray:
     """x as an int64 array; ValueError unless its dtype is bool or integer
     and every entry lies in [lo, hi). Floats and strings are never cast."""
     raw = np.asarray(x)
-    if raw.size and (raw.dtype.kind not in "biu" or raw.min() < lo
-                     or raw.max() >= min(hi, 2 ** 63)):  # int64 must hold it
+    # Compared as Python ints, exact for bool too; int64 must hold every entry.
+    if raw.size and (raw.dtype.kind not in "biu" or int(raw.min()) < lo
+                     or int(raw.max()) >= min(hi, 2 ** 63)):
         raise ValueError(f"{what} must be integers in [{lo}, {hi})")
     return raw.astype(np.int64, copy=False)
 
@@ -72,7 +73,7 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
                    edge_weights: Sequence[float] | None = None,
                    vertex_weights: Sequence[int] | None = None) -> "Graph":
-        """Build a graph from endpoint pairs, assigning canonical edge ids.
+        """Build a graph on n >= 1 vertices, assigning canonical edge ids.
 
         `edges` is empty or holds (u, v) pairs of integers in [0, n), as an
         iterable or an array of shape (k, 2). Parallel edges merge by summing
@@ -82,8 +83,7 @@ class Graph:
         be finite, and the vertex weights must sum to less than 2**53.
         Anything else raises ValueError; nothing is cast.
         """
-        if n < 1:
-            raise ValueError("graph needs at least one vertex")
+        n = int(_int_array(n, "n", 1, np.inf))
         raw = np.asarray(edges if isinstance(edges, np.ndarray)
                          else list(edges))
         if raw.size and (raw.ndim != 2 or raw.shape[1] != 2):

@@ -13,8 +13,11 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph
-from .partition import Partition, _as_blocks, _weights_by_block, balance_cap
+from .graph import Graph, _int_array
+from .partition import (EPSILON, Partition, _as_blocks, _weights_by_block,
+                        balance_cap)
+
+MCV_ROUNDS = 20  # default number of postprocessing rounds
 
 
 def _boundary(g: Graph, blk: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -54,8 +57,8 @@ def _visit_order(rng: random.Random, k: int) -> list[int]:
     return keys.argsort().tolist()
 
 
-def mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
-                    epsilon: float = 0.03, seed: int = 0,
+def mcv_postprocess(g: Graph, p: Partition, rounds: int = MCV_ROUNDS,
+                    epsilon: float = EPSILON, seed: int = 0,
                     on_accept: Callable[[list[int], tuple[int, int], list[int]], None] | None = None,
                     stats: dict | None = None) -> Partition:
     """Greedy rounds of single-vertex moves that never increase MCV.
@@ -96,11 +99,10 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = 20,
     maintained (block, volumes, external_degree) state; tests use it to
     cross-check the incremental bookkeeping. Raises ValueError when p.block
     is malformed (see :meth:`Partition.from_blocks`), a block weight
-    recounted from it exceeds the balance cap, or rounds < 0.
+    recounted from it exceeds the balance cap, or rounds is not an int >= 0.
     """
     blk = _as_blocks(g, p.block)
-    if rounds < 0:
-        raise ValueError("rounds must be >= 0")
+    rounds = int(_int_array(rounds, "rounds", 0, np.inf))
     cap = balance_cap(g, epsilon)
     bw = _weights_by_block(g, blk)
     if max(bw) > cap:

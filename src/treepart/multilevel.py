@@ -19,8 +19,8 @@ import numpy as np
 
 from .fundcut import all_fundamental_conductances
 from .graph import Graph, _float_array, _int_array, check_connected
-from .partition import (Partition, _as_blocks, _weights_by_block, balance_cap,
-                        is_balanced)
+from .partition import (EPSILON, Partition, _as_blocks, _weights_by_block,
+                        balance_cap, is_balanced)
 from .rating import (algebraic_distance, cond_all_edges, ex_alg, ex_cond,
                      expansion_star2)
 from .sampling import contrast
@@ -41,18 +41,16 @@ class PartitionConfig:
 
     rating: str = "excond"
     trees: int = 20
-    epsilon: float = 0.03
+    epsilon: float = EPSILON
     seed: int = 0
     coarsest_size: int = 60
 
     def __post_init__(self):
         if self.rating not in RATINGS:
             raise ValueError(f"unknown rating {self.rating!r}")
-        if self.trees < 1:
-            raise ValueError(f"trees must be at least 1, got {self.trees}")
-        if self.coarsest_size < 2:
-            raise ValueError("coarsest_size must be at least 2, got "
-                             f"{self.coarsest_size}")
+        self.trees = int(_int_array(self.trees, "trees", 1, math.inf))
+        self.coarsest_size = int(_int_array(self.coarsest_size,
+                                            "coarsest_size", 2, math.inf))
         if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
@@ -128,18 +126,15 @@ def contract(g: Graph, mate: np.ndarray) -> tuple[Graph, np.ndarray]:
     return coarse, cmap
 
 
-def initial_bipartition(g: Graph, epsilon: float, attempts: int,
-                        seed: int) -> Partition:
-    """Best of several seeded BFS region growings on the coarsest graph.
+def initial_bipartition(g: Graph, epsilon: float, seed: int) -> Partition:
+    """Best of INITIAL_ATTEMPTS seeded region growings on the coarsest graph.
 
-    Each attempt grows block 0 from a random vertex until it reaches half
-    the total weight, never adding a vertex that would break the balance
-    cap. Balanced attempts are ranked by cut weight; if none is balanced the
-    least-imbalanced attempt is returned (with a warning). Raises
-    ValueError when attempts < 1 or epsilon is not >= 0.
+    Each attempt grows block 0 by BFS from a random vertex until it reaches
+    half the total weight, never adding a vertex that would break the
+    balance cap. Balanced attempts are ranked by cut weight; if none is
+    balanced the least-imbalanced attempt is returned (with a warning).
+    Raises ValueError when epsilon is not >= 0.
     """
-    if attempts < 1:
-        raise ValueError(f"attempts must be at least 1, got {attempts}")
     cap = balance_cap(g, epsilon)
     n = g.n
     if n == 1:
@@ -153,7 +148,7 @@ def initial_bipartition(g: Graph, epsilon: float, attempts: int,
 
     best_key = None
     best_block = None
-    for attempt in range(attempts):
+    for attempt in range(INITIAL_ATTEMPTS):
         start = rng.randrange(n)
         block = [1] * n
         w0 = 0
@@ -187,9 +182,8 @@ def initial_bipartition(g: Graph, epsilon: float, attempts: int,
     return Partition.from_blocks(g, best_block)
 
 
-def fm_refine(g: Graph, p: Partition, epsilon: float,
-              max_passes: int) -> Partition:
-    """Pass-based boundary FM refinement of the edge cut.
+def fm_refine(g: Graph, p: Partition, epsilon: float) -> Partition:
+    """Boundary FM refinement of the edge cut in up to MAX_FM_PASSES passes.
 
     Each pass tentatively moves boundary vertices one at a time in
     max-gain order (a vertex moves at most once per pass, never into a
@@ -200,7 +194,7 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
     always reverted anyway, and skipping it keeps passes cheap on large
     graphs. Stops after a pass that improves neither balance nor cut.
     Raises ValueError when p.block is malformed (see
-    :meth:`Partition.from_blocks`), max_passes < 0 or epsilon is not >= 0.
+    :meth:`Partition.from_blocks`) or epsilon is not >= 0.
 
     The candidates are ordered by (cut change, stamp). A pass starts them
     as one sorted run: the boundary vertices in vertex-id order take the
@@ -211,8 +205,6 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
     both, since no two entries share a stamp.
     """
     blk = _as_blocks(g, p.block)
-    if max_passes < 0:
-        raise ValueError(f"max_passes must be >= 0, got {max_passes}")
     cap = balance_cap(g, epsilon)
     stall_limit = max(100, g.n // 25)
     bw = _weights_by_block(g, blk)
@@ -226,7 +218,7 @@ def fm_refine(g: Graph, p: Partition, epsilon: float,
     heappop = heapq.heappop
     heappush = heapq.heappush
 
-    for _ in range(max_passes):
+    for _ in range(MAX_FM_PASSES):
         cross = blk[g.edge_u] != blk[g.edge_v]
         start_cut = float(g.edge_w[cross].sum())
         cw = g.edge_w * cross  # uncut edges add +0.0: sums stay bit-equal
@@ -337,12 +329,11 @@ def partition_multilevel(g: Graph, cfg: PartitionConfig) -> Partition:
         if shrink < SHRINK_LIMIT:
             break
 
-    p = initial_bipartition(cur, cfg.epsilon, INITIAL_ATTEMPTS,
-                            rng.getrandbits(64))
-    p = fm_refine(cur, p, cfg.epsilon, MAX_FM_PASSES)
+    p = initial_bipartition(cur, cfg.epsilon, rng.getrandbits(64))
+    p = fm_refine(cur, p, cfg.epsilon)
     for fine, cmap in reversed(levels):
         p = Partition(np.asarray(p.block)[cmap].tolist())
-        p = fm_refine(fine, p, cfg.epsilon, MAX_FM_PASSES)
+        p = fm_refine(fine, p, cfg.epsilon)
     if not is_balanced(g, p, cfg.epsilon):
         logger.warning("final partition violates the balance constraint "
                        "(infeasible vertex weights?)")

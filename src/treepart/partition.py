@@ -9,6 +9,8 @@ import numpy as np
 
 from .graph import Graph, _int_array
 
+EPSILON = 0.03  # default allowed imbalance: blocks up to 3% over half
+
 
 @dataclass
 class Partition:

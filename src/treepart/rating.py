@@ -14,6 +14,12 @@ import numpy as np
 from .graph import Graph, _float_array
 from .spantree import RootedTree, tree_paths
 
+# algebraic_distance: vectors per vertex, sweeps, relaxation, distance floor
+VECTORS = 8
+ITERATIONS = 10
+RELAXATION = 0.5
+RHO_MIN = 1e-9
+
 
 def cond_all_edges(g: Graph, t: RootedTree,
                    tree_conds: np.ndarray) -> np.ndarray:
@@ -49,33 +55,28 @@ def ex_cond(g: Graph, cond: np.ndarray) -> np.ndarray:
     return g.edge_w * cond / (c[g.edge_u] * c[g.edge_v])
 
 
-def algebraic_distance(g: Graph, vectors: int = 8, iterations: int = 10,
-                       relaxation: float = 0.5, rho_min: float = 1e-9,
-                       seed: int = 0) -> np.ndarray:
+def algebraic_distance(g: Graph, seed: int) -> np.ndarray:
     """Smoothed-random-vector distance between edge endpoints.
 
-    Starts from `vectors` uniform random coordinates per vertex and applies
-    Jacobi-style over-relaxation: each step mixes a vertex's value with the
-    weighted average of its neighbors' values. Well-connected endpoints even
-    out quickly, so a large remaining distance marks a bottleneck edge. The
-    result is the L2 distance across vectors, clamped below by rho_min.
+    Starts from VECTORS uniform random coordinates per vertex and applies
+    ITERATIONS Jacobi-style over-relaxation steps: each mixes a vertex's
+    value with the weighted average of its neighbors' values, weighted by
+    RELAXATION. Well-connected endpoints even out quickly, so a large
+    remaining distance marks a bottleneck edge. The result is the L2
+    distance across vectors, clamped below by RHO_MIN.
     """
-    if vectors < 1:
-        raise ValueError("need at least one vector")
-    if iterations < 0:
-        raise ValueError("iterations must be nonnegative")
     rng = np.random.default_rng(seed)
-    x = rng.random((g.n, vectors))
+    x = rng.random((g.n, VECTORS))
     eu, ev, w = g.edge_u, g.edge_v, g.edge_w
     wdeg = np.where(g.weighted_degree > 0, g.weighted_degree, 1.0)
-    for _ in range(iterations):
+    for _ in range(ITERATIONS):
         s = np.empty_like(x)
-        for r in range(vectors):
+        for r in range(VECTORS):
             s[:, r] = (np.bincount(eu, weights=w * x[ev, r], minlength=g.n)
                        + np.bincount(ev, weights=w * x[eu, r], minlength=g.n))
-        x = (1.0 - relaxation) * x + relaxation * s / wdeg[:, None]
+        x = (1.0 - RELAXATION) * x + RELAXATION * s / wdeg[:, None]
     rho = np.sqrt(((x[eu] - x[ev]) ** 2).sum(axis=1))
-    return np.maximum(rho, rho_min)
+    return np.maximum(rho, RHO_MIN)
 
 
 def ex_alg(g: Graph, rho: np.ndarray) -> np.ndarray:

@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _int_array
 from .spantree import RootedTree, root_and_label
 
 # Adjacency entries in flight per sweep: 2^17 float64 keys are 1 MiB.
@@ -124,10 +124,9 @@ def contrast(g: Graph, trees: int, seed: int) -> np.ndarray:
     the module docstring). Claims per adjacency entry repeat across trees,
     so each sweep adds them with one bincount; an edge's contrast is the
     smaller count of its two entries. Raises ValueError if the graph is
-    not connected.
+    not connected or trees is not an integer >= 1.
     """
-    if trees < 1:
-        raise ValueError("need at least one tree")
+    trees = int(_int_array(trees, "trees", 1, np.inf))
     seeds = subseeds(seed, trees)
     width = max(1, min(trees, SWEEP_CAP // max(2 * g.m, 1)))
     claims = np.zeros(2 * g.m, dtype=np.int64)

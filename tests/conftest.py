@@ -346,6 +346,39 @@ def scalar_fm_refine(g: Graph, p: Partition, epsilon: float,
     return out
 
 
+def scalar_algebraic_distance(g: Graph, seed: int) -> np.ndarray:
+    """Oracle: algebraic distance by plain per-vertex Jacobi loops.
+
+    Starts from the draw treepart.algebraic_distance makes,
+    `np.random.default_rng(seed).random((n, 8))`, and takes 10 steps that
+    set every coordinate of every vertex to half its old value plus half
+    the weighted average of its neighbours' old values (an isolated vertex
+    averages to 0). An edge's distance is the L2 norm of its endpoints'
+    difference, at least 1e-9.
+    """
+    x = np.random.default_rng(seed).random((g.n, 8)).tolist()
+    off = g.adj_off_list
+    nbr = g.adj_nbr_list
+    w = g.adj_w_list
+    for _ in range(10):
+        new = []
+        for v in range(g.n):
+            total = [0.0] * 8
+            wdeg = 0.0
+            for i in range(off[v], off[v + 1]):
+                wdeg += w[i]
+                for r in range(8):
+                    total[r] += w[i] * x[nbr[i]][r]
+            new.append([0.5 * x[v][r] + 0.5 * total[r] / (wdeg or 1.0)
+                        for r in range(8)])
+        x = new
+    rho = []
+    for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
+        d = math.sqrt(sum((x[u][r] - x[v][r]) ** 2 for r in range(8)))
+        rho.append(max(d, 1e-9))
+    return np.array(rho, dtype=np.float64)
+
+
 def cut_corpus(count: int = 1000, seed: int = 20240501):
     """Seeded random connected graphs with random BFT spanning trees."""
     rng = random.Random(seed)

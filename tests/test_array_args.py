@@ -2,8 +2,9 @@
 numbers of the right length, and nothing is cast.
 
 Every array argument of the public API goes through `graph._int_array` or
-`graph._float_array`. The table passes each one a float or a string (or an
-out-of-range entry) where integer ids are expected, and a string or a wrong
+`graph._float_array`, and so does every integer count (vertices, trees,
+rounds, runs, jobs). The table passes each one a float or a string (or an
+out-of-range entry) where integers are expected, and a string or a wrong
 length where numbers are expected, and expects the ValueError that names
 the rule ("... must ..."), not one that numpy raises on the way.
 """
@@ -13,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treepart import (Graph, Partition, all_fundamental_conductances,
-                      cond_all_edges, contract, ex_alg, ex_cond,
-                      greedy_matching, is_balanced, minimum_spanning_tree,
-                      root_and_label)
+from treepart import (Graph, Partition, PartitionConfig,
+                      all_fundamental_conductances, cond_all_edges, contract,
+                      contrast, ex_alg, ex_cond, generate_scale_free,
+                      greedy_matching, is_balanced, mcv_postprocess,
+                      minimum_spanning_tree, root_and_label, run_experiment)
 from treepart.spantree import tree_paths
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "treepart"
@@ -106,6 +108,17 @@ REJECTED = {
     "tree-conds-2d": lambda: cond_all_edges(
         triangle(), root_and_label(triangle(), [0, 1], 0),
         conds(triangle())[None, :]),
+    # Counts: scalars, each an integer at or above its minimum.
+    "config-coarsest-size-float": lambda: PartitionConfig(coarsest_size=10.5),
+    "config-trees-float": lambda: PartitionConfig(trees=2.5),
+    "mcv-rounds-float": lambda: mcv_postprocess(
+        generate_scale_free(200, 2, 1), Partition([0, 1] * 100), rounds=2.5),
+    "contrast-trees-float": lambda: contrast(p3(), 2.5, 0),
+    "graph-n-float": lambda: Graph.from_edges(2.5, [(0, 1)]),
+    "scale-free-n-float": lambda: generate_scale_free(10.5, 2, 1),
+    "runs-float": lambda: run_experiment([], [PartitionConfig()], 2.5, 0),
+    "jobs-string": lambda: run_experiment([], [PartitionConfig()], 1, 0,
+                                          jobs="2"),
 }
 
 
@@ -125,6 +138,13 @@ def test_accepted_forms():
     assert tree_paths(t, np.array([0], dtype=np.int16), [2]).lca.tolist() \
         == [1]
     assert minimum_spanning_tree(triangle(), [3, 2, 1]).tolist() == [1, 2]
+    # Counts may be numpy integers and are stored as Python ints.
+    cfg = PartitionConfig(trees=np.int64(3), coarsest_size=np.uint64(2))
+    assert (cfg.trees, cfg.coarsest_size) == (3, 2)
+    assert type(cfg.trees) is int and type(cfg.coarsest_size) is int
+    # Bool entries are integers under an unbounded range too.
+    assert Graph.from_edges(2, [(0, 1)], vertex_weights=[True, True]) \
+        .vertex_c.tolist() == [1, 1]
     # Vertex weights may sum to just below 2**53.
     g = Graph.from_edges(3, [(0, 1), (1, 2)],
                          vertex_weights=[2 ** 52, 2 ** 52 - 2, 1])

@@ -2,8 +2,9 @@ import hashlib
 
 import pytest
 
-from treepart import generate_scale_free, save_metis
-from treepart.cli import main
+from treepart import PartitionConfig, generate_scale_free, save_metis
+from treepart.cli import build_parser, main
+from treepart.mcv import MCV_ROUNDS
 
 
 def write_graph(tmp_path, name="g.graph", n=100, seed=3):
@@ -11,6 +12,14 @@ def write_graph(tmp_path, name="g.graph", n=100, seed=3):
     path = tmp_path / name
     save_metis(g, path)
     return str(path)
+
+
+def test_parser_defaults_are_the_library_defaults():
+    args = build_parser().parse_args(["--graph", "g.graph"])
+    cfg = PartitionConfig()
+    assert (args.trees, args.epsilon, args.coarsest_size) \
+        == (cfg.trees, cfg.epsilon, cfg.coarsest_size)
+    assert args.mcv_rounds == MCV_ROUNDS
 
 
 def test_basic_invocation(tmp_path, capsys):
@@ -126,13 +135,13 @@ def test_no_postprocessing_flag(tmp_path):
 
 @pytest.mark.parametrize("flags, message", [
     (["--coarsest-size", "0", "--no-postprocessing"],
-     "coarsest_size must be at least 2"),
-    (["--coarsest-size", "1"], "coarsest_size must be at least 2"),
+     "coarsest_size must be integers in [2, inf)"),
+    (["--coarsest-size", "1"], "coarsest_size must be integers in [2, inf)"),
     (["--epsilon", "nan"], "epsilon must be >= 0"),
     (["--epsilon", "-1"], "epsilon must be >= 0"),
-    (["--trees", "0"], "trees must be at least 1"),
-    (["--mcv-rounds", "-3"], "mcv_rounds must be >= 0"),
-    (["--jobs", "-2"], "jobs must be at least 1"),
+    (["--trees", "0"], "trees must be integers in [1, inf)"),
+    (["--mcv-rounds", "-3"], "mcv_rounds must be integers in [0, inf)"),
+    (["--jobs", "-2"], "jobs must be integers in [1, inf)"),
 ])
 def test_degenerate_config_fails(tmp_path, capsys, flags, message):
     path = write_graph(tmp_path, n=40)

@@ -1,6 +1,7 @@
 """fm_refine against the scalar oracle: equal blocks."""
 
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -17,10 +18,16 @@ EPSILONS = [0.0, 0.03, 1.0]
 WEIGHTS = ["unit", "integer", "float"]
 
 
+def refine_with_passes(g, p, epsilon, max_passes):
+    """fm_refine with its pass limit MAX_FM_PASSES set to max_passes."""
+    with patch.object(multilevel, "MAX_FM_PASSES", max_passes):
+        return fm_refine(g, p, epsilon)
+
+
 def assert_matches_oracle(g, p, epsilon,
                           max_passes=multilevel.MAX_FM_PASSES):
     before = copy_partition(p)
-    got = fm_refine(g, p, epsilon, max_passes)
+    got = refine_with_passes(g, p, epsilon, max_passes)
     want = scalar_fm_refine(g, p, epsilon, max_passes)
     assert got.block == want.block
     assert p == before
@@ -95,16 +102,16 @@ def test_every_multilevel_level_on_sf(monkeypatch, rating, seed):
     calls = []
     real = multilevel.fm_refine
 
-    def record(g, p, epsilon, max_passes):
-        calls.append((g, copy_partition(p), epsilon, max_passes))
-        return real(g, p, epsilon, max_passes)
+    def record(g, p, epsilon):
+        calls.append((g, copy_partition(p), epsilon))
+        return real(g, p, epsilon)
 
     monkeypatch.setattr(multilevel, "fm_refine", record)
     partition_multilevel(generate_scale_free(10000, 4, seed),
                          PartitionConfig(rating=rating, seed=seed))
     assert len(calls) > 5 and calls[-1][0].n == 10000
-    for g, p, epsilon, max_passes in calls:
-        assert_matches_oracle(g, p, epsilon, max_passes)
+    for g, p, epsilon in calls:
+        assert_matches_oracle(g, p, epsilon)
 
 
 def test_tie_between_run_and_pushed_entry():
@@ -115,7 +122,7 @@ def test_tie_between_run_and_pushed_entry():
     g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2),
                              (3, 4)])
     p = Partition.from_blocks(g, [1, 0, 0, 0, 1, 1])
-    assert fm_refine(g, p, 1.0, 1).block == [0, 0, 0, 0, 0, 1]
+    assert refine_with_passes(g, p, 1.0, 1).block == [0, 0, 0, 0, 0, 1]
     assert_matches_oracle(g, p, 1.0, 1)
 
 

@@ -146,12 +146,12 @@ class TestContract:
 
 class TestInitialBipartition:
     def test_p4_finds_optimal_contiguous_split(self, p4):
-        p = initial_bipartition(p4, 0.0, attempts=25, seed=3)
+        p = initial_bipartition(p4, 0.0, seed=3)
         assert block_weights(p4, p.block) == [2, 2]
         assert edge_cut(p4, p) == 1.0
 
     def test_k2(self, k2):
-        p = initial_bipartition(k2, 0.03, attempts=5, seed=1)
+        p = initial_bipartition(k2, 0.03, seed=1)
         assert sorted(p.block) == [0, 1]
         assert edge_cut(k2, p) == 1.0
 
@@ -159,28 +159,21 @@ class TestInitialBipartition:
         rng = random.Random(99)
         for _ in range(20):
             g = random_connected_graph(rng, n_lo=4, n_hi=12)
-            p = initial_bipartition(g, 0.03, attempts=25,
-                                    seed=rng.randrange(1000))
+            p = initial_bipartition(g, 0.03, seed=rng.randrange(1000))
             assert is_balanced(g, p, 0.03)
 
     def test_single_vertex(self):
         g = Graph.from_edges(1, [])
-        p = initial_bipartition(g, 0.03, attempts=3, seed=0)
+        p = initial_bipartition(g, 0.03, seed=0)
         assert p.block == [0]
 
     def test_infeasible_balance_warns_and_returns_best_effort(self, caplog):
         # One vertex outweighs the cap, so no attempt can balance.
         g = Graph.from_edges(2, [(0, 1)], vertex_weights=[3, 1])
         with caplog.at_level("WARNING", logger="treepart.multilevel"):
-            p = initial_bipartition(g, 0.0, attempts=4, seed=0)
+            p = initial_bipartition(g, 0.0, seed=0)
         assert "no balanced initial bipartition" in caplog.text
         assert sorted(block_weights(g, p.block)) == [1, 3]
-
-    @pytest.mark.parametrize("attempts", [0, -7])
-    def test_attempts_below_one_rejected(self, attempts):
-        for g in (generate_scale_free(200, 2, 1), Graph.from_edges(1, [])):
-            with pytest.raises(ValueError, match="attempts must be at least 1"):
-                initial_bipartition(g, 0.03, attempts, 0)
 
 
 class TestFmRefine:
@@ -189,7 +182,7 @@ class TestFmRefine:
         # move creates; the balance tie-break then lands on the 2/2 split.
         p = Partition.from_blocks(p4, [0, 1, 0, 1])
         assert edge_cut(p4, p) == 3.0
-        refined = fm_refine(p4, p, 0.5, max_passes=10)
+        refined = fm_refine(p4, p, 0.5)
         assert edge_cut(p4, refined) == 1.0
         assert is_balanced(p4, refined, 0.0)
 
@@ -198,13 +191,13 @@ class TestFmRefine:
         # and a balanced prefix wins over any cut.
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)],
                              edge_weights=[1.0, 5.0, 1.0])
-        out = fm_refine(g, Partition.from_blocks(g, [0, 0, 0, 1]), 0.0, 10)
+        out = fm_refine(g, Partition.from_blocks(g, [0, 0, 0, 1]), 0.0)
         assert out.block == [0, 0, 1, 1]
         assert is_balanced(g, out, 0.0)
 
     def test_optimal_input_unchanged(self, p4):
         p = Partition.from_blocks(p4, [0, 0, 1, 1])
-        refined = fm_refine(p4, p, 0.0, max_passes=10)
+        refined = fm_refine(p4, p, 0.0)
         assert edge_cut(p4, refined) == 1.0
 
     def test_never_increases_cut_and_keeps_balance(self):
@@ -215,7 +208,7 @@ class TestFmRefine:
             p = Partition.from_blocks(g, blocks)
             if not is_balanced(g, p, 0.03):
                 continue
-            refined = fm_refine(g, p, 0.03, max_passes=5)
+            refined = fm_refine(g, p, 0.03)
             assert edge_cut(g, refined) <= edge_cut(g, p) + 1e-9
             assert is_balanced(g, refined, 0.03)
 
@@ -223,7 +216,7 @@ class TestFmRefine:
         rng = random.Random(56)
         g = random_connected_graph(rng, n_lo=6, n_hi=12)
         p = Partition.from_blocks(g, random_balanced_blocks(g, rng))
-        refined = fm_refine(g, p, 0.03, max_passes=5)
+        refined = fm_refine(g, p, 0.03)
         weights = block_weights(g, refined.block)
         assert sum(weights) == int(g.vertex_c.sum())
         assert max(weights) <= balance_cap(g, 0.03)
@@ -231,13 +224,7 @@ class TestFmRefine:
     @pytest.mark.parametrize("block, message", MALFORMED_PARTITIONS)
     def test_malformed_partition_rejected(self, block, message):
         with pytest.raises(ValueError, match=message):
-            fm_refine(chorded_c6(), Partition(block), 0.03, 10)
-
-    def test_negative_max_passes_rejected(self):
-        g = generate_scale_free(200, 2, 1)
-        p = Partition.from_blocks(g, [0] * 100 + [1] * 100)
-        with pytest.raises(ValueError, match="max_passes must be >= 0"):
-            fm_refine(g, p, 0.03, -4)
+            fm_refine(chorded_c6(), Partition(block), 0.03)
 
 
 class TestPartitionMultilevel:
@@ -281,10 +268,12 @@ class TestPartitionMultilevel:
             PartitionConfig(rating="bogus")
 
     @pytest.mark.parametrize("field, value, message", [
-        ("trees", 0, "trees must be at least 1"),
-        ("trees", -3, "trees must be at least 1"),
-        ("coarsest_size", 1, "coarsest_size must be at least 2"),
-        ("coarsest_size", 0, "coarsest_size must be at least 2"),
+        ("trees", 0, r"trees must be integers in \[1, inf\)"),
+        ("trees", -3, r"trees must be integers in \[1, inf\)"),
+        ("coarsest_size", 1,
+         r"coarsest_size must be integers in \[2, inf\)"),
+        ("coarsest_size", 0,
+         r"coarsest_size must be integers in \[2, inf\)"),
         ("epsilon", -1.0, "epsilon must be >= 0"),
         ("epsilon", float("nan"), "epsilon must be >= 0"),
     ])

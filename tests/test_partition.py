@@ -40,7 +40,7 @@ def test_from_blocks_rejects_malformed(block):
 
 @pytest.mark.parametrize("refine", [
     lambda g, p: mcv_postprocess(g, p, epsilon=0.5, seed=0),
-    lambda g, p: fm_refine(g, p, 0.5, 10)], ids=["mcv", "fm"])
+    lambda g, p: fm_refine(g, p, 0.5)], ids=["mcv", "fm"])
 def test_refiners_copy_array_and_tuple_fields(refine):
     g = generate_scale_free(60, 2, 1)
     block = [0] * 30 + [1] * 30
@@ -56,8 +56,8 @@ def test_refiners_copy_array_and_tuple_fields(refine):
 
 @pytest.mark.parametrize("call", [
     lambda g, p: balance_cap(g, -0.01),
-    lambda g, p: fm_refine(g, p, math.nan, 10),
-    lambda g, p: initial_bipartition(g, -2.0, 5, 0),
+    lambda g, p: fm_refine(g, p, math.nan),
+    lambda g, p: initial_bipartition(g, -2.0, 0),
     lambda g, p: mcv_postprocess(g, p, epsilon=math.nan)],
     ids=["balance_cap", "fm", "initial", "mcv"])
 @pytest.mark.parametrize("n", [200, 1])
@@ -92,7 +92,7 @@ def within_cap(g, block, epsilon):
 def test_refiners_keep_recounted_weights_within_cap(case, seed):
     g, p, epsilon = case
     fits = within_cap(g, p.block, epsilon)
-    out = fm_refine(g, p, epsilon, 10)
+    out = fm_refine(g, p, epsilon)
     assert within_cap(g, out.block, epsilon) or not fits
     if fits:
         out = mcv_postprocess(g, p, 5, epsilon, seed)

@@ -1,13 +1,14 @@
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 from treepart import (Graph, algebraic_distance, all_fundamental_conductances,
                       cond_all_edges, ex_alg, ex_cond, expansion_star2,
-                      root_and_label, sample_bft)
+                      rating, root_and_label, sample_bft)
 from tests.conftest import (brute_force_conductance, edge_id,
-                            random_connected_graph)
+                            random_connected_graph, scalar_algebraic_distance)
 
 
 def brute_cond(g, t):
@@ -130,14 +131,35 @@ class TestPointwiseRatings:
 
 
 class TestAlgebraicDistance:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_scalar_oracle(self, seed):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, n_lo=2, n_hi=30)
+        if seed % 2:
+            g = Graph.from_edges(
+                g.n, np.column_stack((g.edge_u, g.edge_v)),
+                edge_weights=[rng.random() + 0.01 for _ in range(g.m)])
+        assert np.allclose(algebraic_distance(g, seed),
+                           scalar_algebraic_distance(g, seed),
+                           rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_k2_and_edgeless_match_scalar_oracle(self, k2, n):
+        for g in (k2, Graph.from_edges(n, [])):
+            got = algebraic_distance(g, n)
+            want = scalar_algebraic_distance(g, n)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
+
     def test_zero_iterations_keeps_initial_distances(self, p3):
-        rho = algebraic_distance(p3, vectors=4, iterations=0, seed=3)
-        x = np.random.default_rng(3).random((p3.n, 4))
+        with patch.object(rating, "ITERATIONS", 0):
+            rho = algebraic_distance(p3, seed=3)
+        x = np.random.default_rng(3).random((p3.n, 8))
         expect = np.sqrt(((x[p3.edge_u] - x[p3.edge_v]) ** 2).sum(axis=1))
         assert np.allclose(rho, np.maximum(expect, 1e-9))
 
     def test_k2_converges_to_clamp(self, k2):
-        rho = algebraic_distance(k2, vectors=8, iterations=25, seed=1)
+        rho = algebraic_distance(k2, seed=1)
         assert rho[0] == pytest.approx(1e-9)
 
     def test_deterministic(self, c4):
@@ -148,15 +170,16 @@ class TestAlgebraicDistance:
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("iterations", [0, 20])
     def test_edgeless_graph(self, n, iterations):
-        rho = algebraic_distance(Graph.from_edges(n, []),
-                                 iterations=iterations, seed=4)
+        with patch.object(rating, "ITERATIONS", iterations):
+            rho = algebraic_distance(Graph.from_edges(n, []), seed=4)
         assert rho.dtype == np.float64 and rho.shape == (0,)
 
     def test_smoothing_shrinks_distances(self):
         rng = random.Random(909)
         g = random_connected_graph(rng, n_lo=8, n_hi=12)
-        r0 = algebraic_distance(g, iterations=0, seed=5)
-        r10 = algebraic_distance(g, iterations=10, seed=5)
+        x = np.random.default_rng(5).random((g.n, 8))
+        r0 = np.sqrt(((x[g.edge_u] - x[g.edge_v]) ** 2).sum(axis=1))
+        r10 = algebraic_distance(g, seed=5)
         assert r10.mean() < r0.mean()
 
     def test_ex_alg_arithmetic(self):
