@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .graph import Graph, _int_array, check_connected
+from .graph import Graph, _int_scalar, check_connected
 from .mcv import MCV_ROUNDS, edge_cut, mcv, mcv_postprocess
 from .metis_io import load_metis
 from .multilevel import PartitionConfig, partition_multilevel
@@ -118,11 +118,11 @@ def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
     reference for quotients. Raises ValueError unless runs and jobs are
     integers >= 1 and mcv_rounds one >= 0.
     """
-    runs = int(_int_array(runs, "runs", 1, math.inf))
+    runs = _int_scalar(runs, "runs", 1)
     if not configs:
         raise ValueError("need at least one config")
-    mcv_rounds = int(_int_array(mcv_rounds, "mcv_rounds", 0, math.inf))
-    jobs = int(_int_array(jobs, "jobs", 1, math.inf))
+    mcv_rounds = _int_scalar(mcv_rounds, "mcv_rounds", 0)
+    jobs = _int_scalar(jobs, "jobs", 1)
     _reject_duplicates("config labels", [config_label(c) for c in configs])
     graph_paths = list(graph_paths)
     names = [_graph_name(path) for path in graph_paths]

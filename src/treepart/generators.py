@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 import random
 
-from .graph import Graph, _int_array
+from .graph import Graph, _int_scalar
 
 
 def generate_scale_free(n: int, attach: int, seed: int) -> Graph:
@@ -16,8 +15,8 @@ def generate_scale_free(n: int, attach: int, seed: int) -> Graph:
     Deterministic for a fixed (n, attach, seed). All weights are 1.
     Raises ValueError unless n and attach are integers, 1 <= attach < n.
     """
-    attach = int(_int_array(attach, "attach", 1, math.inf))
-    n = int(_int_array(n, "n", attach + 1, math.inf))
+    attach = _int_scalar(attach, "attach", 1)
+    n = _int_scalar(n, "n", attach + 1)
     rng = random.Random(seed)
     edges: list[tuple[int, int]] = [(0, j) for j in range(1, attach + 1)]
     # Flat endpoint multiset; sampling an index uniformly is sampling a

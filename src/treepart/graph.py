@@ -31,6 +31,15 @@ def _int_array(x, what: str, lo: int, hi: float) -> np.ndarray:
     return raw.astype(np.int64, copy=False)
 
 
+def _int_scalar(x, what: str, lo: int, hi: float = np.inf) -> int:
+    """x as a Python int; ValueError unless it is one bool or integer (a
+    0-d array counts), under the rule of `_int_array`."""
+    raw = np.asarray(x)
+    if raw.ndim:
+        raise ValueError(f"{what} must be integers in [{lo}, {hi})")
+    return int(_int_array(raw, what, lo, hi))
+
+
 def _float_array(x, what: str, length: int) -> np.ndarray:
     """x as a new float64 array; ValueError unless it has shape (length,)
     and a bool, integer or float dtype. Strings are never parsed."""
@@ -83,7 +92,7 @@ class Graph:
         be finite, and the vertex weights must sum to less than 2**53.
         Anything else raises ValueError; nothing is cast.
         """
-        n = int(_int_array(n, "n", 1, np.inf))
+        n = _int_scalar(n, "n", 1)
         raw = np.asarray(edges if isinstance(edges, np.ndarray)
                          else list(edges))
         if raw.size and (raw.ndim != 2 or raw.shape[1] != 2):

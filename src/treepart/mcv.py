@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import Graph, _int_array
+from .graph import Graph, _int_scalar
 from .partition import (EPSILON, Partition, _as_blocks, _weights_by_block,
                         balance_cap)
 
@@ -102,7 +102,7 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = MCV_ROUNDS,
     recounted from it exceeds the balance cap, or rounds is not an int >= 0.
     """
     blk = _as_blocks(g, p.block)
-    rounds = int(_int_array(rounds, "rounds", 0, np.inf))
+    rounds = _int_scalar(rounds, "rounds", 0)
     cap = balance_cap(g, epsilon)
     bw = _weights_by_block(g, blk)
     if max(bw) > cap:

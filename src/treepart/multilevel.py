@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fundcut import all_fundamental_conductances
-from .graph import Graph, _float_array, _int_array, check_connected
+from .graph import (Graph, _float_array, _int_array, _int_scalar,
+                    check_connected)
 from .partition import (EPSILON, Partition, _as_blocks, _weights_by_block,
                         balance_cap, is_balanced)
 from .rating import (algebraic_distance, cond_all_edges, ex_alg, ex_cond,
@@ -48,9 +49,9 @@ class PartitionConfig:
     def __post_init__(self):
         if self.rating not in RATINGS:
             raise ValueError(f"unknown rating {self.rating!r}")
-        self.trees = int(_int_array(self.trees, "trees", 1, math.inf))
-        self.coarsest_size = int(_int_array(self.coarsest_size,
-                                            "coarsest_size", 2, math.inf))
+        self.trees = _int_scalar(self.trees, "trees", 1)
+        self.coarsest_size = _int_scalar(self.coarsest_size,
+                                         "coarsest_size", 2)
         if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 

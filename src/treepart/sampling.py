@@ -20,8 +20,7 @@ tree is the one a sequential BFS with those keys builds. On each level:
 - An undiscovered slot is claimed by the first adjacency entry, in frontier
   order, that reaches it: the neighbor a sequential BFS pops first. The
   graph is simple, so the candidates for one slot come from distinct
-  frontier positions, and `np.minimum.at` over the entries' positions finds
-  the first one in O(entries).
+  frontier positions, one entry each.
 - A sequential BFS queues the newly reached vertices by (queue position of
   the parent, key of the entry), equal keys in CSR order. The frontier is
   grouped by tree, each part in queue order, so one stable lexsort of the
@@ -29,11 +28,34 @@ tree is the one a sequential BFS with those keys builds. On each level:
   that order for every tree. Neither rule depends on W, so a tree comes
   out the same whichever sweep it shares.
 
+Each level finds the claims in one of two directions (direction-optimizing
+BFS, Beamer, Asanovic & Patterson 2012):
+
+- Top-down expands every entry of the frontier, and `np.minimum.at` over
+  the entries' positions finds each slot's first one.
+- Bottom-up has each unseen slot v scan its own entries v -> u for the
+  frontier neighbor u of least frontier position, with one
+  `np.minimum.reduceat`. That u is the parent top-down finds, and the
+  claimed entry is the one entry u -> v, the reverse of the scanned entry.
+  The winners reach the lexsort in slot order, which for one parent is
+  its CSR order, so ties on the key fall the same way as well.
+
+A level runs bottom-up when its frontier has more entries (fdeg) than the
+unseen slots have plus W*n/8. The unseen slots' entry count starts at
+W*2m and loses each level's fdeg; when it reaches 0 the sweep stops, with
+no level expanded just to find nothing. Each slot is in one frontier, so
+the fdeg of all levels sum to at most W*2m: the top-down expansions and
+the bottom-up entry scans are each at most W*2m per sweep, and the W*n
+scans for unseen slots, which run only while W*n/8 < fdeg, sum to less
+than 8*W*2m.
+
 W = max(1, min(T, SWEEP_CAP // 2m)) for T trees. A sweep holds W*2m float
-keys and W*n <= W*(m + 1) per-slot integers, and one level of one tree
-expands at most 2m entries, so the cap bounds the keys, the per-slot state
+keys and two arrays of W*n <= W*(m + 1) per-slot integers: `via` and the
+frontier positions of bottom-up levels. One level of W trees expands or
+scans at most W*2m entries, so the cap bounds the keys, the per-slot state
 and every per-level temporary together. A graph with more than
-SWEEP_CAP / 2 edges is swept one tree at a time.
+SWEEP_CAP / 2 edges is swept one tree at a time. The map from each entry
+to its reverse, 2m integers, is built once per `contrast` call.
 """
 
 from __future__ import annotations
@@ -43,7 +65,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, _int_array
+from .graph import Graph, _int_scalar
 from .spantree import RootedTree, root_and_label
 
 # Adjacency entries in flight per sweep: 2^17 float64 keys are 1 MiB.
@@ -51,7 +73,22 @@ SWEEP_CAP = 1 << 17
 _UNSEEN = np.iinfo(np.int64).max
 
 
-def _sweep(g: Graph, seeds: Sequence[int]):
+def _reverse_entries(g: Graph) -> np.ndarray:
+    """rev[i] is the adjacency entry of edge adj_eid[i] in the opposite
+    orientation, in O(m) and without a sort."""
+    down = (g.adj_nbr != g.edge_v[g.adj_eid]).astype(np.int64)
+    by_edge = np.empty((g.m, 2), dtype=np.int64)
+    by_edge[g.adj_eid, down] = np.arange(2 * g.m)
+    return by_edge[g.adj_eid, 1 - down]
+
+
+def _bottom_up(fdeg: int, unseen: int, slots: int) -> bool:
+    """Whether a BFS level runs bottom-up: its frontier has more adjacency
+    entries (fdeg) than the unseen slots have (unseen) plus slots / 8."""
+    return fdeg > unseen + slots / 8
+
+
+def _sweep(g: Graph, seeds: Sequence[int], rev: np.ndarray | None = None):
     """Grow one random BFT tree per seed, all in one level-synchronous sweep.
 
     Each tree draws its root and then 2m entry keys (none when n = 1) from
@@ -59,9 +96,16 @@ def _sweep(g: Graph, seeds: Sequence[int]):
     (len(seeds), n): entry[t, v] is the adjacency entry that claimed v in
     tree t, or -1 at the root, so v's parent is `g.csr_src[entry[t, v]]`
     and its parent edge `g.adj_eid[entry[t, v]]`, in exactly the FIFO BFS
-    tree of seed t. Raises ValueError if the graph is not connected.
+    tree of seed t. `rev` is `_reverse_entries(g)`, built here if not
+    given. Raises ValueError if the graph is not connected.
     """
     n, w, two_m = g.n, len(seeds), 2 * g.m
+    off, deg = g.adj_off, np.diff(g.adj_off)
+    # So every slot a bottom-up level scans has an entry.
+    if n > 1 and not deg.all():
+        raise ValueError("graph is not connected")
+    if rev is None:
+        rev = _reverse_entries(g)
     roots = np.empty(w, dtype=np.int64)
     keys = np.empty(w * two_m)
     for t, s in enumerate(seeds):
@@ -71,30 +115,58 @@ def _sweep(g: Graph, seeds: Sequence[int]):
             rng.random(out=keys[t * two_m:(t + 1) * two_m])
     # Slot t*n + v is vertex v of tree t, and key t*2m + i is adjacency
     # entry i of tree t. Per slot, `via` holds _UNSEEN until the slot's
-    # level, then on that level the position of its first candidate entry,
-    # and from then on the entry that claimed it.
-    off, deg = g.adj_off, np.diff(g.adj_off)
+    # level, then on a top-down level the position of its first candidate
+    # entry, and from then on the entry that claimed it. `rank` holds
+    # _UNSEEN until the slot's frontier runs bottom-up, and then its
+    # position in that frontier.
     via = np.full(w * n, _UNSEEN, dtype=np.int64)
+    rank = np.full(w * n, _UNSEEN, dtype=np.int64)
     # The frontier, grouped by tree, each tree's part in queue order.
     f_tree = np.arange(w, dtype=np.int64)
     f_vert = roots
     via[f_tree * n + roots] = -1
+    # Adjacency entries of the unseen slots.
+    unseen = w * two_m
     while f_vert.size:
         counts = deg[f_vert]
         ends = counts.cumsum()
-        # Adjacency entry and target slot of every expansion, in frontier
-        # order; `pos` is the position in that order.
-        entry = (np.arange(ends[-1])
-                 + (off[f_vert] + counts - ends).repeat(counts))
-        slot = (f_tree * n).repeat(counts) + g.adj_nbr[entry]
-        pos = (via[slot] == _UNSEEN).nonzero()[0]
-        slot = slot[pos]
-        np.minimum.at(via, slot, pos)
-        won = via[slot] == pos
-        pos, slot = pos[won], slot[won]
-        src = ends.searchsorted(pos, side="right")
-        tree = f_tree[src]
-        claimed = entry[pos]
+        fdeg = int(ends[-1])
+        unseen -= fdeg
+        if not unseen:
+            break
+        if not _bottom_up(fdeg, unseen, w * n):
+            # Adjacency entry and target slot of every expansion, in
+            # frontier order; `pos` is the position in that order.
+            entry = (np.arange(fdeg)
+                     + (off[f_vert] + counts - ends).repeat(counts))
+            slot = (f_tree * n).repeat(counts) + g.adj_nbr[entry]
+            pos = (via[slot] == _UNSEEN).nonzero()[0]
+            slot = slot[pos]
+            np.minimum.at(via, slot, pos)
+            won = via[slot] == pos
+            pos, slot = pos[won], slot[won]
+            src = ends.searchsorted(pos, side="right")
+            tree = f_tree[src]
+            claimed = entry[pos]
+        else:
+            # Each unseen slot scans its own entries v -> u for the
+            # frontier neighbor u of least frontier position `src`. Its
+            # other neighbors are unseen: one in an earlier frontier
+            # would have claimed it.
+            rank[f_tree * n + f_vert] = np.arange(f_vert.size)
+            slot = (via == _UNSEEN).nonzero()[0]
+            tree = slot // n
+            vert = slot - tree * n
+            counts = deg[vert]
+            ends = counts.cumsum()
+            entry = (np.arange(ends[-1])
+                     + (off[vert] + counts - ends).repeat(counts))
+            r = rank[(tree * n).repeat(counts) + g.adj_nbr[entry]]
+            best = np.minimum.reduceat(r, ends - counts)
+            won = best < _UNSEEN
+            hit = r == np.where(won, best, -1).repeat(counts)
+            slot, tree, src = slot[won], tree[won], best[won]
+            claimed = rev[entry[hit]]
         via[slot] = claimed
         order = np.lexsort((keys[claimed + tree * two_m], src))
         f_tree = tree[order]
@@ -126,12 +198,13 @@ def contrast(g: Graph, trees: int, seed: int) -> np.ndarray:
     smaller count of its two entries. Raises ValueError if the graph is
     not connected or trees is not an integer >= 1.
     """
-    trees = int(_int_array(trees, "trees", 1, np.inf))
+    trees = _int_scalar(trees, "trees", 1)
     seeds = subseeds(seed, trees)
     width = max(1, min(trees, SWEEP_CAP // max(2 * g.m, 1)))
     claims = np.zeros(2 * g.m, dtype=np.int64)
+    rev = _reverse_entries(g)
     for lo in range(0, trees, width):
-        entry = _sweep(g, seeds[lo:lo + width])[1]
+        entry = _sweep(g, seeds[lo:lo + width], rev)[1]
         claims += np.bincount(entry[entry >= 0], minlength=2 * g.m)
     gamma = np.full(g.m, trees, dtype=np.int64)
     np.minimum.at(gamma, g.adj_eid, claims)

@@ -7,7 +7,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import Graph, _boruvka, _float_array, _int_array
+from .graph import Graph, _boruvka, _float_array, _int_array, _int_scalar
 
 
 @dataclass(eq=False)
@@ -65,7 +65,7 @@ def root_and_label(g: Graph, tree_edges: Sequence[int], root: int) -> RootedTree
     edges = np.sort(_int_array(tree_edges, "tree edge ids", 0, g.m))
     if edges.shape != (n - 1,):
         raise ValueError("tree_edges must contain exactly n-1 edges")
-    root = int(_int_array(root, "root", 0, n))
+    root = _int_scalar(root, "root", 0, n)
     # The tree as a graph of its own: its CSR lists each vertex's tree
     # neighbours in ascending id, and adj_eid indexes `edges`.
     tree = Graph(n, g.edge_u[edges], g.edge_v[edges], g.edge_w[edges],

@@ -119,6 +119,12 @@ REJECTED = {
     "runs-float": lambda: run_experiment([], [PartitionConfig()], 2.5, 0),
     "jobs-string": lambda: run_experiment([], [PartitionConfig()], 1, 0,
                                           jobs="2"),
+    # A count or root is one integer, never a list or array.
+    "config-trees-list": lambda: PartitionConfig(trees=[3]),
+    "config-trees-empty": lambda: PartitionConfig(trees=[]),
+    "root-empty": lambda: root_and_label(p3(), [0, 1], []),
+    "graph-n-list": lambda: Graph.from_edges([3], [(0, 1)]),
+    "contrast-trees-array": lambda: contrast(p3(), np.array([2]), 0),
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -180,8 +181,8 @@ def swept_claims(g, trees, seed, monkeypatch):
     claims = np.zeros(2 * g.m, dtype=np.int64)
     sweep = sampling._sweep
 
-    def recording(g, seeds):
-        roots, entry = sweep(g, seeds)
+    def recording(g, seeds, *rest):
+        roots, entry = sweep(g, seeds, *rest)
         for i in entry[entry >= 0].tolist():
             claims[i] += 1
         return roots, entry
@@ -293,6 +294,17 @@ def test_keys_closer_than_a_float_step_keep_their_order(monkeypatch):
     assert_sweeps_match_oracles(g, 2, 0, monkeypatch)
 
 
+def rated_graphs(g, seed, monkeypatch):
+    """Each graph that partition_multilevel(g, seed) rates, finest first."""
+    graphs = []
+    real = multilevel.compute_rating
+    monkeypatch.setattr(multilevel, "compute_rating",
+                        lambda g, cfg, s: graphs.append(g)
+                        or real(g, cfg, s))
+    partition_multilevel(g, PartitionConfig(seed=seed))
+    return graphs
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("family", ["sf", "strip"])
 def test_every_multilevel_level(family, seed, monkeypatch):
@@ -302,12 +314,7 @@ def test_every_multilevel_level(family, seed, monkeypatch):
         g = generate_scale_free(2000, 4, seed)
     else:
         g = family_graph("strip", 250, random.Random(seed))
-    graphs = []
-    real = multilevel.compute_rating
-    monkeypatch.setattr(multilevel, "compute_rating",
-                        lambda g, cfg, s: graphs.append(g)
-                        or real(g, cfg, s))
-    partition_multilevel(g, PartitionConfig(seed=seed))
+    graphs = rated_graphs(g, seed, monkeypatch)
     assert len(graphs) > 3 and graphs[0] is g
     seeds = subseeds(seed, 2)
     for level in graphs:
@@ -343,6 +350,134 @@ def test_sweep_matches_oracles_property(g, trees, seed):
         assert_sweeps_match_oracles(g, trees, seed, monkeypatch)
 
 
+def force_direction(monkeypatch, direction):
+    """Patch the sweep's direction rule `sampling._bottom_up`: "top-down"
+    or "bottom-up" on every level, "alternating" from level to level, and
+    "default" leaves the rule as it is."""
+    if direction == "alternating":
+        turns = itertools.cycle([True, False])
+        monkeypatch.setattr(sampling, "_bottom_up", lambda *level: next(turns))
+    elif direction != "default":
+        monkeypatch.setattr(sampling, "_bottom_up",
+                            lambda *level: direction == "bottom-up")
+
+
+FORCED = ["bottom-up", "top-down", "alternating"]
+
+
+def root_of(seed, trees, n):
+    """The root that the first tree of contrast(g, trees, seed) draws."""
+    return int(np.random.default_rng(subseeds(seed, trees)[0]).integers(n))
+
+
+def star(n, hub):
+    return Graph.from_edges(n, [(hub, v) for v in range(n) if v != hub])
+
+
+def clique(k, tail=0):
+    """K_k on 0..k-1 plus a path of `tail` vertices hung from k - 1."""
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges += [(v, v + 1) for v in range(k - 1, k + tail - 1)]
+    return Graph.from_edges(k + tail, edges)
+
+
+class TestDirections:
+    """Top-down and bottom-up levels pick the same parent and entry, so the
+    sweep equals both oracles whichever direction each level takes."""
+
+    @pytest.mark.parametrize("direction", FORCED)
+    def test_criterion_1_corpus(self, direction, monkeypatch):
+        force_direction(monkeypatch, direction)
+        for i, (g, _) in enumerate(cut_corpus()):
+            assert_sweeps_match_oracles(g, (1, 3, 20)[i % 3], i, monkeypatch)
+
+    @pytest.mark.parametrize("direction", FORCED + ["default"])
+    def test_hub_families(self, direction, monkeypatch):
+        force_direction(monkeypatch, direction)
+        n = 40
+        graphs = [
+            (star(n, root_of(1, 1, n)), 1, 1),  # rooted at the hub
+            (star(n, (root_of(2, 1, n) + 1) % n), 1, 2),  # at a leaf
+            (star(n, 0), 20, 3),
+            (clique(12), 3, 4),
+            (clique(12), 20, 5),
+            (Graph.from_edges(n + 2, [(a, b) for a in (0, 1)
+                                      for b in range(2, n + 2)]), 20, 6),
+            (clique(15, tail=30), 3, 7),
+            (clique(15, tail=30), 20, 8),
+            (generate_scale_free(3000, 4, 9), 3, 9),
+        ]
+        for g, trees, seed in graphs:
+            assert_sweeps_match_oracles(g, trees, seed, monkeypatch)
+
+    def test_default_rule_takes_both_directions(self, monkeypatch):
+        # The rule runs a level bottom-up only while its frontier has more
+        # entries than the unseen slots plus W*n/8, so the W*n scans of
+        # bottom-up levels add up to less than 8 * W*2m. Every slot is in
+        # one frontier, so the frontiers' entries add up to W*2m at most.
+        levels = []
+        rule = sampling._bottom_up
+        monkeypatch.setattr(sampling, "_bottom_up", lambda *level:
+                            levels.append(level + (rule(*level),))
+                            or rule(*level))
+        sf = generate_scale_free(3000, 4, 1)
+        for g, trees, both in ((sf, 1, True), (sf, 3, True),
+                               (family_graph("strip", 60, random.Random(2)),
+                                3, False)):
+            levels.clear()
+            sampling._sweep(g, subseeds(7, trees))
+            assert {up for *_, up in levels} == ({False, True} if both
+                                                 else {False})
+            fdeg = sum(f for f, *_ in levels)
+            assert fdeg <= trees * 2 * g.m
+            assert sum(slots for *_, slots, up in levels if up) \
+                < 8 * trees * 2 * g.m
+
+    @pytest.mark.parametrize("direction", FORCED)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_multilevel_level(self, direction, seed, monkeypatch):
+        graphs = rated_graphs(generate_scale_free(2000, 4, seed), seed,
+                              monkeypatch)
+        seeds = subseeds(seed, 3)
+        want = [sampling._sweep(level, seeds) for level in graphs]
+        force_direction(monkeypatch, direction)
+        for level, (roots, entry) in zip(graphs, want):
+            got = sampling._sweep(level, seeds)
+            assert np.array_equal(got[0], roots)
+            assert np.array_equal(got[1], entry)
+
+
+@pytest.mark.parametrize("direction", ["bottom-up", "alternating"])
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(connected_graphs(), st.integers(1, 20), st.integers(0, 2 ** 64 - 1))
+def test_sweep_matches_oracles_property_forced(direction, g, trees, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        force_direction(monkeypatch, direction)
+        assert_sweeps_match_oracles(g, trees, seed, monkeypatch)
+
+
+def test_sampling_caches_nothing_on_the_graph():
+    # partition_multilevel keeps every level's Graph alive, so an array
+    # cached on it grows with the number of levels: caching the 2m-entry
+    # reverse map raised sf-excond's peak RSS by 3 MB (101 to 104 MB).
+    g = generate_scale_free(300, 3, 1)
+    before = dict(vars(g))
+    contrast(g, 20, 7)
+    sample_bft(g, 7)
+    assert vars(g).keys() == before.keys()
+    assert all(vars(g)[k] is v for k, v in before.items())
+
+
+def test_reverse_entries():
+    g = generate_scale_free(500, 3, 4)
+    rev = sampling._reverse_entries(g)
+    src = np.repeat(np.arange(g.n), np.diff(g.adj_off))
+    assert np.array_equal(g.adj_eid[rev], g.adj_eid)
+    assert np.array_equal(src[rev], g.adj_nbr)
+    assert np.array_equal(g.adj_nbr[rev], src)
+    assert sampling._reverse_entries(Graph.from_edges(1, [])).size == 0
+
+
 @pytest.mark.parametrize("cap, m, trees, widths", [
     (2 ** 17, 18742, 20, [3] * 6 + [2]),  # m of the 8 x 1250 grid strip
     (2 ** 17, 39984, 20, [1] * 20),
@@ -357,8 +492,8 @@ def test_sweep_width_follows_cap(cap, m, trees, widths, monkeypatch):
     sweep = sampling._sweep
     monkeypatch.setattr(sampling, "SWEEP_CAP", cap)
     monkeypatch.setattr(sampling, "_sweep",
-                        lambda g, seeds: seen.append(len(seeds))
-                        or sweep(g, seeds))
+                        lambda g, seeds, *rest: seen.append(len(seeds))
+                        or sweep(g, seeds, *rest))
     contrast(g, trees, 3)
     assert seen == widths
 
@@ -377,6 +512,28 @@ class TestErrorPaths:
                 contrast(g, trees, 7)
             with pytest.raises(ValueError, match="^graph is not connected$"):
                 sampling._sweep(g, subseeds(7, trees))
+
+    @pytest.mark.parametrize("direction", FORCED + ["default"])
+    @pytest.mark.parametrize("g", [
+        Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)]),
+        Graph.from_edges(9, [(0, v) for v in range(1, 6)]),
+        Graph.from_edges(9, [(0, 1), (0, 2), (1, 2), (2, 3),
+                             (4, 5), (4, 6), (4, 7), (4, 8), (5, 6)]),
+    ], ids=["path-and-isolated", "star-and-isolated", "two-components"])
+    def test_disconnected_rejected_in_every_direction(self, g, direction,
+                                                       monkeypatch):
+        force_direction(monkeypatch, direction)
+        for trees in (1, 3, 20):
+            for seed in range(4):
+                with pytest.raises(ValueError,
+                                   match="^graph is not connected$"):
+                    sampling._sweep(g, subseeds(seed, trees))
+                with pytest.raises(ValueError,
+                                   match="^graph is not connected$"):
+                    contrast(g, trees, seed)
+        for seed in range(20):
+            with pytest.raises(ValueError, match="^graph is not connected$"):
+                sample_bft(g, seed)
 
     @pytest.mark.parametrize("cap", CAPS)
     def test_single_vertex_draws_no_keys(self, cap, monkeypatch):
