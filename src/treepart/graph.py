@@ -40,6 +40,16 @@ def _int_scalar(x, what: str, lo: int, hi: float = np.inf) -> int:
     return int(_int_array(raw, what, lo, hi))
 
 
+def _float_scalar(x, what: str, lo: float) -> float:
+    """x as a Python float; ValueError unless it is one bool, integer or
+    float (a 0-d array counts) and x >= lo, so NaN fails and inf passes.
+    Strings and None are never parsed."""
+    raw = np.asarray(x)
+    if raw.ndim or raw.dtype.kind not in "biuf" or not raw >= lo:
+        raise ValueError(f"{what} must be >= {lo}, got {x!r}")
+    return float(raw)
+
+
 def _float_array(x, what: str, length: int) -> np.ndarray:
     """x as a new float64 array; ValueError unless it has shape (length,)
     and a bool, integer or float dtype. Strings are never parsed."""

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fundcut import all_fundamental_conductances
-from .graph import (Graph, _float_array, _int_array, _int_scalar,
-                    check_connected)
+from .graph import (Graph, _float_array, _float_scalar, _int_array,
+                    _int_scalar, check_connected)
 from .partition import (EPSILON, Partition, _as_blocks, _weights_by_block,
                         balance_cap, is_balanced)
 from .rating import (algebraic_distance, cond_all_edges, ex_alg, ex_cond,
@@ -52,8 +52,7 @@ class PartitionConfig:
         self.trees = _int_scalar(self.trees, "trees", 1)
         self.coarsest_size = _int_scalar(self.coarsest_size,
                                          "coarsest_size", 2)
-        if not self.epsilon >= 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        self.epsilon = _float_scalar(self.epsilon, "epsilon", 0)
 
 
 def compute_rating(g: Graph, cfg: PartitionConfig, seed: int) -> np.ndarray:
@@ -77,8 +76,11 @@ def greedy_matching(g: Graph, rating: np.ndarray,
 
     Ties break on canonical edge id. An edge is skipped when either endpoint
     is already matched or the merged vertex would exceed max_vertex_weight.
-    Returns the mate of each vertex, -1 if unmatched.
+    Returns the mate of each vertex, -1 if unmatched. Raises ValueError
+    unless max_vertex_weight is one number >= 0 (inf passes).
     """
+    max_vertex_weight = _float_scalar(max_vertex_weight,
+                                      "max_vertex_weight", 0)
     vals = _float_array(rating, "rating", g.m)
     if not np.all(np.isfinite(vals)):
         raise ValueError("ratings must be finite")

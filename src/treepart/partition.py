@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _int_array
+from .graph import Graph, _float_scalar, _int_array
 
 EPSILON = 0.03  # default allowed imbalance: blocks up to 3% over half
 
@@ -44,9 +44,8 @@ def _weights_by_block(g: Graph, blk: np.ndarray) -> list[int]:
 def balance_cap(g: Graph, epsilon: float) -> float:
     """Largest allowed block weight: (1 + epsilon) * ceil(total / 2).
 
-    Raises ValueError when epsilon is negative or NaN."""
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    Raises ValueError unless epsilon is one number >= 0 (inf passes)."""
+    epsilon = _float_scalar(epsilon, "epsilon", 0)
     total = int(g.vertex_c.sum())
     return (1.0 + epsilon) * math.ceil(total / 2)
 
@@ -54,6 +53,6 @@ def balance_cap(g: Graph, epsilon: float) -> float:
 def is_balanced(g: Graph, p: Partition, epsilon: float) -> bool:
     """True iff both block weights, recounted from p.block, are at most
     balance_cap(g, epsilon). Raises ValueError when p.block is malformed
-    (see Partition.from_blocks) or epsilon is not >= 0."""
+    (see Partition.from_blocks) or epsilon is not one number >= 0."""
     weights = _weights_by_block(g, _as_blocks(g, p.block))
     return max(weights) <= balance_cap(g, epsilon)

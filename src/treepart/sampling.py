@@ -23,10 +23,24 @@ tree is the one a sequential BFS with those keys builds. On each level:
   frontier positions, one entry each.
 - A sequential BFS queues the newly reached vertices by (queue position of
   the parent, key of the entry), equal keys in CSR order. The frontier is
-  grouped by tree, each part in queue order, so one stable lexsort of the
-  winning entries by (frontier position of the parent, key) gives exactly
-  that order for every tree. Neither rule depends on W, so a tree comes
-  out the same whichever sweep it shares.
+  grouped by tree, each part in queue order, so ordering the winning
+  entries by (frontier position of the parent, key), ties in CSR order,
+  gives exactly that order for every tree. Neither rule depends on W, so
+  a tree comes out the same whichever sweep it shares.
+
+The sweep holds each key x as the uint32 floor(x * 2^32). The map is
+monotone, so the uint32 order is the float order except where two keys
+share their top 32 bits. Each level sorts once: an argsort of the int64
+(frontier position << 32 | uint32 key), which fits because frontier
+positions stay below W*n < 2^31. Equal neighbors in that order are
+siblings whose keys tie on 32 bits. Then, and only then, the level redraws
+the float keys of the tied trees from their seeds (the same root and key
+draw) and orders its entries with a stable lexsort by (frontier position,
+uint32 key, float key), so equal floats keep CSR order. Real draws tie on
+32 bits rarely: k siblings tie with probability about k^2 / 2^33. Whole
+partitions of an 8 x 1250 strip and of generate_scale_free(10^4, 4) take
+no fallback, and contrast(star with 2^17 leaves, 20, 1) takes it on 18
+levels.
 
 Each level finds the claims in one of two directions (direction-optimizing
 BFS, Beamer, Asanovic & Patterson 2012):
@@ -37,8 +51,9 @@ BFS, Beamer, Asanovic & Patterson 2012):
   frontier neighbor u of least frontier position, with one
   `np.minimum.reduceat`. That u is the parent top-down finds, and the
   claimed entry is the one entry u -> v, the reverse of the scanned entry.
-  The winners reach the lexsort in slot order, which for one parent is
-  its CSR order, so ties on the key fall the same way as well.
+  The winners reach the sort in slot order, which for one parent is its
+  CSR order, so the fallback's stable lexsort breaks exact key ties the
+  same way as well.
 
 A level runs bottom-up when its frontier has more entries (fdeg) than the
 unseen slots have plus W*n/8. The unseen slots' entry count starts at
@@ -49,13 +64,18 @@ the bottom-up entry scans are each at most W*2m per sweep, and the W*n
 scans for unseen slots, which run only while W*n/8 < fdeg, sum to less
 than 8*W*2m.
 
-W = max(1, min(T, SWEEP_CAP // 2m)) for T trees. A sweep holds W*2m float
-keys and two arrays of W*n <= W*(m + 1) per-slot integers: `via` and the
-frontier positions of bottom-up levels. One level of W trees expands or
-scans at most W*2m entries, so the cap bounds the keys, the per-slot state
-and every per-level temporary together. A graph with more than
-SWEEP_CAP / 2 edges is swept one tree at a time. The map from each entry
-to its reverse, 2m integers, is built once per `contrast` call.
+W = max(1, min(T, SWEEP_CAP // 2m)) for T trees. A sweep holds W*2m
+uint32 keys, 4 bytes each, so SWEEP_CAP = 2^18 entries take the 1 MiB that
+2^17 float64 keys took, and the sweep is twice as wide: W = 6 on an
+8 x 1250 grid strip. The keys are drawn through one float64 buffer of 2m
+entries, which is freed before the levels run. Per slot, the sweep holds
+W*n <= W*(m + 1) integers in `via`, and as many in `rank`, the frontier
+positions of bottom-up levels, made only at the first bottom-up level
+(a strip never takes one). One level of W trees expands or scans at most
+W*2m entries, so the cap bounds the keys, the per-slot state and every
+per-level temporary together. A graph with more than SWEEP_CAP / 2 edges
+is swept one tree at a time. The map from each entry to its reverse, 2m
+integers, is built once per `contrast` call.
 """
 
 from __future__ import annotations
@@ -68,8 +88,8 @@ import numpy as np
 from .graph import Graph, _int_scalar
 from .spantree import RootedTree, root_and_label
 
-# Adjacency entries in flight per sweep: 2^17 float64 keys are 1 MiB.
-SWEEP_CAP = 1 << 17
+# Adjacency entries in flight per sweep: 2^18 uint32 keys are 1 MiB.
+SWEEP_CAP = 1 << 18
 _UNSEEN = np.iinfo(np.int64).max
 
 
@@ -88,6 +108,29 @@ def _bottom_up(fdeg: int, unseen: int, slots: int) -> bool:
     return fdeg > unseen + slots / 8
 
 
+def _draw(n: int, seed: int, out: np.ndarray) -> int:
+    """Draw the root of the tree with this seed and fill `out` with its 2m
+    float64 entry keys (none when n = 1)."""
+    rng = np.random.default_rng(seed)
+    root = int(rng.integers(n))
+    if n > 1:
+        rng.random(out=out)
+    return root
+
+
+def _exact_keys(g: Graph, seeds: Sequence[int], tree: np.ndarray,
+                claimed: np.ndarray, tied: np.ndarray) -> np.ndarray:
+    """The float64 keys of entries `claimed` of trees `tree`, redrawn from
+    the seeds of the trees in `tied`; 0 for entries of the other trees."""
+    full = np.zeros(claimed.size)
+    buf = np.empty(2 * g.m)
+    for t in np.unique(tied).tolist():
+        _draw(g.n, seeds[t], buf)
+        mine = tree == t
+        full[mine] = buf[claimed[mine]]
+    return full
+
+
 def _sweep(g: Graph, seeds: Sequence[int], rev: np.ndarray | None = None):
     """Grow one random BFT tree per seed, all in one level-synchronous sweep.
 
@@ -97,7 +140,9 @@ def _sweep(g: Graph, seeds: Sequence[int], rev: np.ndarray | None = None):
     tree t, or -1 at the root, so v's parent is `g.csr_src[entry[t, v]]`
     and its parent edge `g.adj_eid[entry[t, v]]`, in exactly the FIFO BFS
     tree of seed t. `rev` is `_reverse_entries(g)`, built here if not
-    given. Raises ValueError if the graph is not connected.
+    given. Each level's sort packs frontier positions into 31 bits, so
+    len(seeds) * n must be below 2^31. Raises ValueError if the graph is
+    not connected.
     """
     n, w, two_m = g.n, len(seeds), 2 * g.m
     off, deg = g.adj_off, np.diff(g.adj_off)
@@ -107,20 +152,22 @@ def _sweep(g: Graph, seeds: Sequence[int], rev: np.ndarray | None = None):
     if rev is None:
         rev = _reverse_entries(g)
     roots = np.empty(w, dtype=np.int64)
-    keys = np.empty(w * two_m)
+    keys = np.empty(w * two_m, dtype=np.uint32)
+    buf = np.empty(two_m)
     for t, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
-        roots[t] = rng.integers(n)
-        if n > 1:
-            rng.random(out=keys[t * two_m:(t + 1) * two_m])
+        roots[t] = _draw(n, s, buf)
+        # floor(x * 2^32): the product is exact and below 2^32.
+        keys[t * two_m:(t + 1) * two_m] = np.multiply(buf, 2.0 ** 32,
+                                                      out=buf)
+    del buf
     # Slot t*n + v is vertex v of tree t, and key t*2m + i is adjacency
     # entry i of tree t. Per slot, `via` holds _UNSEEN until the slot's
     # level, then on a top-down level the position of its first candidate
-    # entry, and from then on the entry that claimed it. `rank` holds
-    # _UNSEEN until the slot's frontier runs bottom-up, and then its
-    # position in that frontier.
+    # entry, and from then on the entry that claimed it. `rank`, made at
+    # the first bottom-up level, holds _UNSEEN until the slot's frontier
+    # runs bottom-up, and then its position in that frontier.
     via = np.full(w * n, _UNSEEN, dtype=np.int64)
-    rank = np.full(w * n, _UNSEEN, dtype=np.int64)
+    rank = None
     # The frontier, grouped by tree, each tree's part in queue order.
     f_tree = np.arange(w, dtype=np.int64)
     f_vert = roots
@@ -153,6 +200,8 @@ def _sweep(g: Graph, seeds: Sequence[int], rev: np.ndarray | None = None):
             # frontier neighbor u of least frontier position `src`. Its
             # other neighbors are unseen: one in an earlier frontier
             # would have claimed it.
+            if rank is None:
+                rank = np.full(w * n, _UNSEEN, dtype=np.int64)
             rank[f_tree * n + f_vert] = np.arange(f_vert.size)
             slot = (via == _UNSEEN).nonzero()[0]
             tree = slot // n
@@ -168,7 +217,18 @@ def _sweep(g: Graph, seeds: Sequence[int], rev: np.ndarray | None = None):
             slot, tree, src = slot[won], tree[won], best[won]
             claimed = rev[entry[hit]]
         via[slot] = claimed
-        order = np.lexsort((keys[claimed + tree * two_m], src))
+        # One sort by (parent's frontier position, 32-bit key). Equal
+        # neighbors in it are siblings whose keys tie on 32 bits: order
+        # them by their float keys, equal floats in CSR order.
+        key = keys[claimed + tree * two_m]
+        both = src << 32 | key
+        order = both.argsort()
+        both = both[order]
+        tie = both[1:] == both[:-1]
+        if tie.any():
+            full = _exact_keys(g, seeds, tree, claimed,
+                               tree[order[1:][tie]])
+            order = np.lexsort((full, key, src))
         f_tree = tree[order]
         f_vert = slot[order] - f_tree * n
     if (via == _UNSEEN).any():

@@ -2,8 +2,9 @@
 numbers of the right length, and nothing is cast.
 
 Every array argument of the public API goes through `graph._int_array` or
-`graph._float_array`, and so does every integer count (vertices, trees,
-rounds, runs, jobs). The table passes each one a float or a string (or an
+`graph._float_array`, every integer count (vertices, trees, rounds, runs,
+jobs) through `graph._int_scalar`, and every real knob (epsilon, the
+matching's vertex weight cap) through `graph._float_scalar`. The table passes each one a float or a string (or an
 out-of-range entry) where integers are expected, and a string or a wrong
 length where numbers are expected, and expects the ValueError that names
 the rule ("... must ..."), not one that numpy raises on the way.
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 
 from treepart import (Graph, Partition, PartitionConfig,
-                      all_fundamental_conductances, cond_all_edges, contract,
-                      contrast, ex_alg, ex_cond, generate_scale_free,
-                      greedy_matching, is_balanced, mcv_postprocess,
-                      minimum_spanning_tree, root_and_label, run_experiment)
+                      all_fundamental_conductances, balance_cap,
+                      cond_all_edges, contract, contrast, ex_alg, ex_cond,
+                      generate_scale_free, greedy_matching, is_balanced,
+                      mcv_postprocess, minimum_spanning_tree, root_and_label,
+                      run_experiment)
 from treepart.spantree import tree_paths
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "treepart"
@@ -125,6 +127,18 @@ REJECTED = {
     "root-empty": lambda: root_and_label(p3(), [0, 1], []),
     "graph-n-list": lambda: Graph.from_edges([3], [(0, 1)]),
     "contrast-trees-array": lambda: contrast(p3(), np.array([2]), 0),
+    # Real knobs: one number, at or above its minimum, NaN never.
+    "config-epsilon-string": lambda: PartitionConfig(epsilon="0.1"),
+    "config-epsilon-none": lambda: PartitionConfig(epsilon=None),
+    "config-epsilon-array": lambda: PartitionConfig(
+        epsilon=np.array([0.1, 0.2])),
+    "balance-cap-epsilon-string": lambda: balance_cap(p3(), "0.1"),
+    "is-balanced-epsilon-string": lambda: is_balanced(
+        p3(), Partition([0, 1, 1]), "0.1"),
+    "matching-cap-nan": lambda: greedy_matching(
+        triangle(), [1, 2, 3], float("nan")),
+    "matching-cap-string": lambda: greedy_matching(
+        triangle(), [1, 2, 3], "10"),
 }
 
 
@@ -151,6 +165,16 @@ def test_accepted_forms():
     # Bool entries are integers under an unbounded range too.
     assert Graph.from_edges(2, [(0, 1)], vertex_weights=[True, True]) \
         .vertex_c.tolist() == [1, 1]
+    # Real knobs may be any number at or above their minimum, inf included,
+    # and are stored as Python floats.
+    cfg = PartitionConfig(epsilon=np.float32(0.5))
+    assert cfg.epsilon == 0.5 and type(cfg.epsilon) is float
+    assert PartitionConfig(epsilon=float("inf")).epsilon == float("inf")
+    assert balance_cap(p3(), np.array(0)) == 2.0
+    assert balance_cap(p3(), float("inf")) == float("inf")
+    assert greedy_matching(triangle(), [1, 2, 3], float("inf")).tolist() \
+        == [-1, 2, 1]
+    assert greedy_matching(triangle(), [1, 2, 3], 0).tolist() == [-1] * 3
     # Vertex weights may sum to just below 2**53.
     g = Graph.from_edges(3, [(0, 1), (1, 2)],
                          vertex_weights=[2 ** 52, 2 ** 52 - 2, 1])
@@ -158,8 +182,9 @@ def test_accepted_forms():
 
 
 def test_dtype_rule_lives_in_graph_module():
-    # The dtype decisions for array arguments sit behind graph._int_array
-    # and graph._float_array; no other module may make its own.
+    # The dtype decisions for array and scalar arguments sit behind
+    # graph._int_array, _int_scalar, _float_array and _float_scalar; no
+    # other module may make its own.
     users = sorted(p.name for p in SRC.glob("*.py")
                    if "dtype.kind" in p.read_text())
     assert users == ["graph.py"]

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,6 +458,121 @@ def test_sweep_matches_oracles_property_forced(direction, g, trees, seed):
         assert_sweeps_match_oracles(g, trees, seed, monkeypatch)
 
 
+REAL_RNG = np.random.default_rng
+
+
+class CoarseKeys:
+    """Stands in for np.random.default_rng: the real generator of the seed,
+    with every key x it draws mapped to floor(8x)/8, plus x * 2^-40 when
+    `distinct`. The keys then share their top 32 bits in 8 groups, so
+    siblings tie on the sweep's 32-bit keys and nearly every level takes
+    the exact fallback. With the small term the float keys mostly stay
+    apart; without it they tie too and must fall to CSR order."""
+
+    distinct = True
+
+    def __init__(self, seed):
+        self._rng = REAL_RNG(seed)
+
+    def integers(self, n):
+        return self._rng.integers(n)
+
+    def random(self, size=None, out=None):
+        x = self._rng.random(size, out=out)
+        x[...] = np.floor(8 * x) / 8 + (x * 2.0 ** -40 if self.distinct
+                                        else 0.0)
+        return x
+
+
+KEY_FORMS = ["ties-on-32-bits", "exact-ties"]
+
+
+def coarse_keys(monkeypatch, form):
+    monkeypatch.setattr(CoarseKeys, "distinct", form == "ties-on-32-bits")
+    monkeypatch.setattr(np.random, "default_rng", CoarseKeys)
+
+
+@pytest.fixture
+def regenerations(monkeypatch):
+    """The tied trees of each call to the sweep's exact fallback."""
+    calls = []
+    real = sampling._exact_keys
+    monkeypatch.setattr(sampling, "_exact_keys",
+                        lambda g, seeds, tree, claimed, tied:
+                        calls.append(np.unique(tied).tolist())
+                        or real(g, seeds, tree, claimed, tied))
+    return calls
+
+
+@pytest.mark.parametrize("form", KEY_FORMS)
+def test_coarse_keys_tie_on_32_bits(form, monkeypatch):
+    coarse_keys(monkeypatch, form)
+    keys = np.random.default_rng(5).random(1000)
+    assert np.array_equal(keys, CoarseKeys(5).random(out=np.empty(1000)))
+    top = np.unique(np.floor(keys * 2.0 ** 32))
+    assert top.tolist() == [k * 2 ** 29 for k in range(8)]
+    distinct = np.unique(keys).size
+    if form == "ties-on-32-bits":
+        assert distinct > 900
+    else:
+        assert distinct == 8
+
+
+class TestKeyTies:
+    """Siblings whose keys tie on 32 bits take the exact fallback, which
+    orders them by their float keys, equal floats in CSR order: the sweep
+    still equals both oracles, in every direction."""
+
+    @pytest.mark.parametrize("direction", FORCED + ["default"])
+    @pytest.mark.parametrize("form", KEY_FORMS)
+    def test_criterion_1_corpus(self, form, direction, monkeypatch,
+                                regenerations):
+        coarse_keys(monkeypatch, form)
+        force_direction(monkeypatch, direction)
+        for i, (g, _) in enumerate(cut_corpus()):
+            assert_sweeps_match_oracles(g, (1, 3, 20)[i % 3], i, monkeypatch)
+        assert regenerations
+
+    @pytest.mark.parametrize("direction", FORCED + ["default"])
+    @pytest.mark.parametrize("form", KEY_FORMS)
+    def test_star_and_scale_free(self, form, direction, monkeypatch,
+                                 regenerations):
+        coarse_keys(monkeypatch, form)
+        force_direction(monkeypatch, direction)
+        for g, trees, seed in ((star(3001, 0), 3, 1),
+                               (generate_scale_free(3000, 4, 9), 3, 2)):
+            regenerations.clear()
+            assert_sweeps_match_oracles(g, trees, seed, monkeypatch)
+            assert regenerations
+
+    def test_fallback_redraws_only_the_tied_trees(self, monkeypatch,
+                                                  regenerations):
+        # One tree in three draws coarse keys; only it is ever redrawn.
+        g = generate_scale_free(500, 3, 4)
+        seeds = subseeds(6, 3)
+
+        def one_coarse(seed):
+            return (CoarseKeys if seed == seeds[1] else REAL_RNG)(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", one_coarse)
+        roots, entry = sampling._sweep(g, seeds)
+        assert regenerations and set(sum(regenerations, [])) == {1}
+        for t, s in enumerate(seeds):
+            want = np.asarray(queue_bft(g, s)[2])
+            got = np.where(entry[t] >= 0, g.adj_eid[entry[t]], -1)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("direction", FORCED + ["default"])
+    def test_real_keys_need_no_fallback(self, direction, monkeypatch,
+                                        regenerations):
+        force_direction(monkeypatch, direction)
+        g = generate_scale_free(3000, 4, 9)
+        for trees, seed in ((1, 3), (3, 9), (20, 7)):
+            sampling._sweep(g, subseeds(seed, trees))
+            contrast(g, trees, seed)
+        assert regenerations == []
+
+
 def test_sampling_caches_nothing_on_the_graph():
     # partition_multilevel keeps every level's Graph alive, so an array
     # cached on it grows with the number of levels: caching the 2m-entry
@@ -480,22 +597,70 @@ def test_reverse_entries():
 
 @pytest.mark.parametrize("cap, m, trees, widths", [
     (2 ** 17, 18742, 20, [3] * 6 + [2]),  # m of the 8 x 1250 grid strip
-    (2 ** 17, 39984, 20, [1] * 20),
+    (2 ** 17, 39984, 20, [1] * 20),  # of generate_scale_free(10^4, 4)
     (2 ** 17, 100, 20, [20]),
     (1, 100, 3, [1, 1, 1]),
     (2 ** 40, 100, 3, [3]),
+    (None, 18742, 20, [6, 6, 6, 2]),
+    (None, 39984, 20, [3] * 6 + [2]),
 ])
 def test_sweep_width_follows_cap(cap, m, trees, widths, monkeypatch):
-    # W = max(1, min(trees, cap // 2m)) trees share a sweep.
+    # W = max(1, min(trees, cap // 2m)) trees share a sweep; cap None is
+    # the default SWEEP_CAP.
     g = Graph.from_edges(m + 1, [(0, i) for i in range(1, m + 1)])
     seen = []
     sweep = sampling._sweep
-    monkeypatch.setattr(sampling, "SWEEP_CAP", cap)
+    if cap is not None:
+        monkeypatch.setattr(sampling, "SWEEP_CAP", cap)
     monkeypatch.setattr(sampling, "_sweep",
                         lambda g, seeds, *rest: seen.append(len(seeds))
                         or sweep(g, seeds, *rest))
     contrast(g, trees, 3)
     assert seen == widths
+
+
+def strip_8x1250(seed):
+    """An 8 x 1250 grid on shuffled ids, the shape of perfbench's strip."""
+    return family_graph("strip", 1250, random.Random(seed))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_strip_levels_bounded_by_width(seed, monkeypatch):
+    # The rule `_bottom_up` is asked once per BFS level. A sweep takes at
+    # most diameter + 1 levels, so contrast's ceil(20 / W) sweeps take at
+    # most 4 * 1257 = 5028 levels at W = 6; at W = 3 it swept 7453 to
+    # 8159.
+    g = strip_8x1250(seed)
+    width = sampling.SWEEP_CAP // (2 * g.m)
+    assert width == 6
+    levels = []
+    rule = sampling._bottom_up
+    monkeypatch.setattr(sampling, "_bottom_up",
+                        lambda *level: levels.append(level) or rule(*level))
+    contrast(g, 20, seed)
+    diameter = 1250 - 1 + 8 - 1
+    assert len(levels) <= math.ceil(20 / width) * (diameter + 1) == 5028
+
+
+@pytest.mark.parametrize("make, bound_mib", [
+    (lambda: strip_8x1250(0), 2.6),
+    (lambda: generate_scale_free(10 ** 4, 4, 1), 6.5),
+], ids=["strip-8x1250", "sf-10^4"])
+def test_contrast_peak_memory(make, bound_mib):
+    # Narrower keys pay for the width: 2^18 uint32 keys take the bytes of
+    # 2^17 float64 keys, and the float draw is freed before the levels run.
+    # The strip reads 2.48 MiB (W = 6; 2.23 with float64 keys at W = 3),
+    # sf 6.02 MiB (W = 3, whose per-level temporaries are three times
+    # those of W = 1; 3.4 at W = 1).
+    g = make()
+    contrast(g, 1, 0)
+    tracemalloc.start()
+    try:
+        contrast(g, 20, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20
 
 
 class TestErrorPaths:
