@@ -28,19 +28,10 @@ per non-tree edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import Graph
 from .spantree import RootedTree, tree_paths
-
-
-@dataclass
-class CutAttributes:
-    subtree_vol: np.ndarray
-    intra_weight: np.ndarray
-    inter_weight: np.ndarray
 
 
 def _subtree_sums(t: RootedTree, x: np.ndarray) -> np.ndarray:
@@ -96,9 +87,3 @@ def all_fundamental_conductances(g: Graph, t: RootedTree,
     """
     cond, _, _, _ = _aggregates(g, t, stats)
     return cond
-
-
-def cut_attributes(g: Graph, t: RootedTree) -> CutAttributes:
-    """The three per-vertex aggregates behind the conductances."""
-    _, sub, intra, inter = _aggregates(g, t, None)
-    return CutAttributes(sub, intra, inter)

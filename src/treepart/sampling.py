@@ -1,15 +1,25 @@
 """Random breadth-first-traversal spanning trees and per-edge contrast.
 
-Each sampled tree picks a root uniformly at random and runs a plain BFS
-that scans the neighbors of each popped vertex in an independent random
-order: every adjacency entry gets a uniform key from the tree's own
-generator, and a vertex's neighbors are scanned in ascending key order.
-The contrast of an edge is the smaller of the two per-orientation counts of
-trees containing it, accumulated over a whole tree collection. The CSR has
-one adjacency entry per edge orientation, and the entry u -> v that claims
-v in a tree is that tree edge oriented away from the root. So contrast
-counts claims per entry and takes, for each edge, the smaller count of its
-two entries.
+Each sampled tree picks a root uniformly at random and runs a plain FIFO
+BFS that scans the neighbors of each popped vertex in an independent
+random order. The tree's generator draws the root and then one random
+permutation of the vertices, the keys, and a popped vertex scans its
+neighbors in ascending key order. The contrast of an edge is the smaller
+of the two per-orientation counts of trees containing it, accumulated over
+a whole tree collection. The CSR has one adjacency entry per edge
+orientation, and the entry u -> v that claims v in a tree is that tree
+edge oriented away from the root. So contrast counts claims per entry and
+takes, for each edge, the smaller count of its two entries.
+
+One key per vertex samples the same distribution of trees as one key per
+adjacency entry. Only the order among a popped vertex's unseen neighbors
+matters, and a vertex is an unseen neighbor of exactly one popped vertex,
+its parent: after that it is seen. So each key orders one vertex among
+its siblings, once, and no earlier decision has looked at it. Sibling
+sets are disjoint, and the relative orders that a uniform permutation
+gives disjoint sets are uniform and independent, so the children of every
+vertex still come in a uniformly random order, independent across
+vertices and levels.
 
 The trees of a collection grow in lockstep. One level-synchronous sweep
 advances W trees together over flattened (tree, vertex) slots, so one BFS
@@ -22,25 +32,12 @@ tree is the one a sequential BFS with those keys builds. On each level:
   graph is simple, so the candidates for one slot come from distinct
   frontier positions, one entry each.
 - A sequential BFS queues the newly reached vertices by (queue position of
-  the parent, key of the entry), equal keys in CSR order. The frontier is
-  grouped by tree, each part in queue order, so ordering the winning
-  entries by (frontier position of the parent, key), ties in CSR order,
-  gives exactly that order for every tree. Neither rule depends on W, so
-  a tree comes out the same whichever sweep it shares.
-
-The sweep holds each key x as the uint32 floor(x * 2^32). The map is
-monotone, so the uint32 order is the float order except where two keys
-share their top 32 bits. Each level sorts once: an argsort of the int64
-(frontier position << 32 | uint32 key), which fits because frontier
-positions stay below W*n < 2^31. Equal neighbors in that order are
-siblings whose keys tie on 32 bits. Then, and only then, the level redraws
-the float keys of the tied trees from their seeds (the same root and key
-draw) and orders its entries with a stable lexsort by (frontier position,
-uint32 key, float key), so equal floats keep CSR order. Real draws tie on
-32 bits rarely: k siblings tie with probability about k^2 / 2^33. Whole
-partitions of an 8 x 1250 strip and of generate_scale_free(10^4, 4) take
-no fallback, and contrast(star with 2^17 leaves, 20, 1) takes it on 18
-levels.
+  the parent, key of the vertex). The frontier is grouped by tree, each
+  part in queue order, so ordering the claimed slots by (frontier position
+  of the parent, key) gives exactly that order for every tree: one argsort
+  of the int64 (frontier position << 32 | key). Keys are distinct within a
+  tree and frontier positions across trees, so nothing ties. Neither rule
+  depends on W, so a tree comes out the same whichever sweep it shares.
 
 Each level finds the claims in one of two directions (direction-optimizing
 BFS, Beamer, Asanovic & Patterson 2012):
@@ -51,9 +48,8 @@ BFS, Beamer, Asanovic & Patterson 2012):
   frontier neighbor u of least frontier position, with one
   `np.minimum.reduceat`. That u is the parent top-down finds, and the
   claimed entry is the one entry u -> v, the reverse of the scanned entry.
-  The winners reach the sort in slot order, which for one parent is its
-  CSR order, so the fallback's stable lexsort breaks exact key ties the
-  same way as well.
+  The map from each entry to its reverse, 2m integers, is built at the
+  first bottom-up level of a sweep (a strip never takes one).
 
 A level runs bottom-up when its frontier has more entries (fdeg) than the
 unseen slots have plus W*n/8. The unseen slots' entry count starts at
@@ -64,18 +60,24 @@ the bottom-up entry scans are each at most W*2m per sweep, and the W*n
 scans for unseen slots, which run only while W*n/8 < fdeg, sum to less
 than 8*W*2m.
 
-W = max(1, min(T, SWEEP_CAP // 2m)) for T trees. A sweep holds W*2m
-uint32 keys, 4 bytes each, so SWEEP_CAP = 2^18 entries take the 1 MiB that
-2^17 float64 keys took, and the sweep is twice as wide: W = 6 on an
-8 x 1250 grid strip. The keys are drawn through one float64 buffer of 2m
-entries, which is freed before the levels run. Per slot, the sweep holds
-W*n <= W*(m + 1) integers in `via`, and as many in `rank`, the frontier
-positions of bottom-up levels, made only at the first bottom-up level
-(a strip never takes one). One level of W trees expands or scans at most
-W*2m entries, so the cap bounds the keys, the per-slot state and every
-per-level temporary together. A graph with more than SWEEP_CAP / 2 edges
-is swept one tree at a time. The map from each entry to its reverse, 2m
-integers, is built once per `contrast` call.
+W = max(1, min(T, SLOT_CAP // n)) for T trees, so a sweep holds at most
+SLOT_CAP = 2^19 slots unless n alone is larger: an int32 key and an int32
+`via` (the claiming entry) per slot, 4 MiB at the cap. A graph of
+n <= 2^19 / T vertices, such as an 8 x 1250 strip, takes all T trees in
+one sweep, so a deep graph pays for its diameter once, not T / W times.
+
+Per-level temporaries grow with the entries a level expands, not with the
+slots. A level that would expand more than LEVEL_CAP = 2^17 entries, or a
+bottom-up level whose W*n slot scan is that wide, splits the sweep into
+groups of max(1, LEVEL_CAP // 2m) trees. Each group finishes on its own
+views of `via` and the keys, with its own part of the frontier and its
+own unseen-entry count. As n <= 2m, no later level of a group reaches the
+cap unless one tree alone does, so `rank`, the frontier positions made at
+a group's first bottom-up level, holds at most max(LEVEL_CAP, n) slots.
+Trees are independent, so the split changes no tree. An 8 x 1250 strip
+never splits; generate_scale_free(10^4, 4) splits into single trees at
+its first level wider than the cap. The int32 state bounds the graph:
+W*n and 2m must stay below 2^31.
 """
 
 from __future__ import annotations
@@ -88,9 +90,12 @@ import numpy as np
 from .graph import Graph, _int_scalar
 from .spantree import RootedTree, root_and_label
 
-# Adjacency entries in flight per sweep: 2^18 uint32 keys are 1 MiB.
-SWEEP_CAP = 1 << 18
-_UNSEEN = np.iinfo(np.int64).max
+# Slots (tree, vertex) per sweep: int32 keys and `via` take 4 MiB at 2^19.
+SLOT_CAP = 1 << 19
+# Adjacency entries a level of a multi-tree sweep may expand before the
+# sweep splits into groups of trees.
+LEVEL_CAP = 1 << 17
+_UNSEEN = np.iinfo(np.int32).max
 
 
 def _reverse_entries(g: Graph) -> np.ndarray:
@@ -108,129 +113,138 @@ def _bottom_up(fdeg: int, unseen: int, slots: int) -> bool:
     return fdeg > unseen + slots / 8
 
 
-def _draw(n: int, seed: int, out: np.ndarray) -> int:
-    """Draw the root of the tree with this seed and fill `out` with its 2m
-    float64 entry keys (none when n = 1)."""
-    rng = np.random.default_rng(seed)
-    root = int(rng.integers(n))
-    if n > 1:
-        rng.random(out=out)
-    return root
+def _queue(via: np.ndarray, key: np.ndarray, slot: np.ndarray,
+           src: np.ndarray, claimed: np.ndarray) -> np.ndarray:
+    """Record that entries `claimed` claim slots `slot` from the parents at
+    frontier positions `src`, and return those slots in queue order, by
+    (frontier position of the parent, key)."""
+    via[slot] = claimed
+    return slot[(src << 32 | key[slot]).argsort()]
 
 
-def _exact_keys(g: Graph, seeds: Sequence[int], tree: np.ndarray,
-                claimed: np.ndarray, tied: np.ndarray) -> np.ndarray:
-    """The float64 keys of entries `claimed` of trees `tree`, redrawn from
-    the seeds of the trees in `tied`; 0 for entries of the other trees."""
-    full = np.zeros(claimed.size)
-    buf = np.empty(2 * g.m)
-    for t in np.unique(tied).tolist():
-        _draw(g.n, seeds[t], buf)
-        mine = tree == t
-        full[mine] = buf[claimed[mine]]
-    return full
+def _top_down(g: Graph, via: np.ndarray, key: np.ndarray,
+              f_slot: np.ndarray, f_vert: np.ndarray, counts: np.ndarray,
+              ends: np.ndarray) -> np.ndarray:
+    """Expand every entry of the frontier; each unseen slot it reaches is
+    claimed by its first entry. Returns the next frontier."""
+    # Adjacency entry and target slot of every expansion, in frontier
+    # order; `pos` is the position in that order.
+    entry = np.arange(ends[-1])
+    entry += (g.adj_off[f_vert] + counts - ends).repeat(counts)
+    slot = (f_slot - f_vert).repeat(counts)
+    slot += g.adj_nbr[entry]
+    # int32 like `via`: np.minimum.at is ten times slower when it casts.
+    pos = (via[slot] == _UNSEEN).nonzero()[0].astype(np.int32)
+    slot = slot[pos]
+    np.minimum.at(via, slot, pos)
+    won = via[slot] == pos
+    pos, slot = pos[won], slot[won]
+    src = ends.searchsorted(pos, side="right")
+    return _queue(via, key, slot, src, entry[pos])
 
 
-def _sweep(g: Graph, seeds: Sequence[int], rev: np.ndarray | None = None):
+def _bottom_up_level(g: Graph, via: np.ndarray, key: np.ndarray,
+                     rank: np.ndarray, rev: np.ndarray) -> np.ndarray:
+    """Have each unseen slot v scan its own entries v -> u for the frontier
+    neighbor u of least frontier position `rank`; the claimed entry u -> v
+    is the reverse of the scanned one. The other neighbors of v are
+    unseen: one in an earlier frontier would have claimed it. Returns the
+    next frontier."""
+    n, deg = g.n, np.diff(g.adj_off)
+    slot = (via == _UNSEEN).nonzero()[0]
+    vert = slot % n
+    counts = deg[vert]
+    ends = counts.cumsum()
+    entry = np.arange(ends[-1])
+    entry += (g.adj_off[vert] + counts - ends).repeat(counts)
+    r = (slot - vert).repeat(counts)
+    r += g.adj_nbr[entry]
+    r = rank[r]
+    best = np.minimum.reduceat(r, ends - counts)
+    won = best < _UNSEEN
+    hit = r == np.where(won, best, -1).repeat(counts)
+    return _queue(via, key, slot[won], best[won].astype(np.int64),
+                  rev[entry[hit]])
+
+
+def _sweep(g: Graph, seeds: Sequence[int]):
     """Grow one random BFT tree per seed, all in one level-synchronous sweep.
 
-    Each tree draws its root and then 2m entry keys (none when n = 1) from
-    `np.random.default_rng(seed)`. Returns (roots, entry), entry of shape
-    (len(seeds), n): entry[t, v] is the adjacency entry that claimed v in
-    tree t, or -1 at the root, so v's parent is `g.csr_src[entry[t, v]]`
-    and its parent edge `g.adj_eid[entry[t, v]]`, in exactly the FIFO BFS
-    tree of seed t. `rev` is `_reverse_entries(g)`, built here if not
-    given. Each level's sort packs frontier positions into 31 bits, so
-    len(seeds) * n must be below 2^31. Raises ValueError if the graph is
-    not connected.
+    Each tree draws its root and then a permutation of the n vertices, its
+    keys (none when n = 1), from `np.random.default_rng(seed)`. Returns
+    (roots, entry), entry of shape (len(seeds), n): entry[t, v] is the
+    adjacency entry that claimed v in tree t, or -1 at the root, so v's
+    parent is `g.csr_src[entry[t, v]]` and its parent edge
+    `g.adj_eid[entry[t, v]]`, in exactly the FIFO BFS tree of seed t. The
+    slot state is int32, so len(seeds) * n and 2m must be below 2^31.
+    Raises ValueError if the graph is not connected.
     """
     n, w, two_m = g.n, len(seeds), 2 * g.m
-    off, deg = g.adj_off, np.diff(g.adj_off)
+    deg = np.diff(g.adj_off)
     # So every slot a bottom-up level scans has an entry.
     if n > 1 and not deg.all():
         raise ValueError("graph is not connected")
-    if rev is None:
-        rev = _reverse_entries(g)
     roots = np.empty(w, dtype=np.int64)
-    keys = np.empty(w * two_m, dtype=np.uint32)
-    buf = np.empty(two_m)
+    keys = np.zeros(w * n, dtype=np.int32)
     for t, s in enumerate(seeds):
-        roots[t] = _draw(n, s, buf)
-        # floor(x * 2^32): the product is exact and below 2^32.
-        keys[t * two_m:(t + 1) * two_m] = np.multiply(buf, 2.0 ** 32,
-                                                      out=buf)
-    del buf
-    # Slot t*n + v is vertex v of tree t, and key t*2m + i is adjacency
-    # entry i of tree t. Per slot, `via` holds _UNSEEN until the slot's
-    # level, then on a top-down level the position of its first candidate
-    # entry, and from then on the entry that claimed it. `rank`, made at
-    # the first bottom-up level, holds _UNSEEN until the slot's frontier
-    # runs bottom-up, and then its position in that frontier.
-    via = np.full(w * n, _UNSEEN, dtype=np.int64)
-    rank = None
-    # The frontier, grouped by tree, each tree's part in queue order.
-    f_tree = np.arange(w, dtype=np.int64)
-    f_vert = roots
-    via[f_tree * n + roots] = -1
-    # Adjacency entries of the unseen slots.
-    unseen = w * two_m
-    while f_vert.size:
-        counts = deg[f_vert]
-        ends = counts.cumsum()
-        fdeg = int(ends[-1])
-        unseen -= fdeg
-        if not unseen:
-            break
-        if not _bottom_up(fdeg, unseen, w * n):
-            # Adjacency entry and target slot of every expansion, in
-            # frontier order; `pos` is the position in that order.
-            entry = (np.arange(fdeg)
-                     + (off[f_vert] + counts - ends).repeat(counts))
-            slot = (f_tree * n).repeat(counts) + g.adj_nbr[entry]
-            pos = (via[slot] == _UNSEEN).nonzero()[0]
-            slot = slot[pos]
-            np.minimum.at(via, slot, pos)
-            won = via[slot] == pos
-            pos, slot = pos[won], slot[won]
-            src = ends.searchsorted(pos, side="right")
-            tree = f_tree[src]
-            claimed = entry[pos]
-        else:
-            # Each unseen slot scans its own entries v -> u for the
-            # frontier neighbor u of least frontier position `src`. Its
-            # other neighbors are unseen: one in an earlier frontier
-            # would have claimed it.
-            if rank is None:
-                rank = np.full(w * n, _UNSEEN, dtype=np.int64)
-            rank[f_tree * n + f_vert] = np.arange(f_vert.size)
-            slot = (via == _UNSEEN).nonzero()[0]
-            tree = slot // n
-            vert = slot - tree * n
-            counts = deg[vert]
+        rng = np.random.default_rng(s)
+        roots[t] = rng.integers(n)
+        if n > 1:
+            keys[t * n:(t + 1) * n] = rng.permutation(n)
+    group = max(1, LEVEL_CAP // max(two_m, 1))
+    rev = None
+
+    def grow(via, key, f_slot, unseen):
+        """Run the levels of the trees whose slots `via` and `key` hold,
+        from the frontier `f_slot`; `unseen` counts the entries of its
+        slots and of the unseen ones."""
+        nonlocal rev
+        k = via.size // n
+        rank = None
+        while f_slot.size:
+            f_vert = f_slot % n
+            counts = deg[f_vert]
             ends = counts.cumsum()
-            entry = (np.arange(ends[-1])
-                     + (off[vert] + counts - ends).repeat(counts))
-            r = rank[(tree * n).repeat(counts) + g.adj_nbr[entry]]
-            best = np.minimum.reduceat(r, ends - counts)
-            won = best < _UNSEEN
-            hit = r == np.where(won, best, -1).repeat(counts)
-            slot, tree, src = slot[won], tree[won], best[won]
-            claimed = rev[entry[hit]]
-        via[slot] = claimed
-        # One sort by (parent's frontier position, 32-bit key). Equal
-        # neighbors in it are siblings whose keys tie on 32 bits: order
-        # them by their float keys, equal floats in CSR order.
-        key = keys[claimed + tree * two_m]
-        both = src << 32 | key
-        order = both.argsort()
-        both = both[order]
-        tie = both[1:] == both[:-1]
-        if tie.any():
-            full = _exact_keys(g, seeds, tree, claimed,
-                               tree[order[1:][tie]])
-            order = np.lexsort((full, key, src))
-        f_tree = tree[order]
-        f_vert = slot[order] - f_tree * n
+            fdeg = int(ends[-1])
+            unseen -= fdeg
+            if not unseen:
+                return
+            up = _bottom_up(fdeg, unseen, k * n)
+            if k > group and (fdeg > LEVEL_CAP or up and k * n > LEVEL_CAP):
+                # The frontier is grouped by tree in tree order, so
+                # f_slot >= lo * n from one position on, and a binary
+                # search finds each group's part. The level's arrays go
+                # before the groups run.
+                del f_vert, counts, ends
+                for lo in range(0, k, group):
+                    a, b = f_slot.searchsorted([lo * n, (lo + group) * n])
+                    part = via[lo * n:(lo + group) * n]
+                    front = f_slot[a:b] - lo * n
+                    left = (deg[(part == _UNSEEN).nonzero()[0] % n].sum()
+                            + deg[front % n].sum())
+                    grow(part, key[lo * n:(lo + group) * n], front,
+                         int(left))
+                return
+            if not up:
+                f_slot = _top_down(g, via, key, f_slot, f_vert, counts,
+                                   ends)
+                continue
+            if rev is None:
+                rev = _reverse_entries(g)
+            if rank is None:
+                rank = np.full(k * n, _UNSEEN, dtype=np.int32)
+            rank[f_slot] = np.arange(f_slot.size)
+            f_slot = _bottom_up_level(g, via, key, rank, rev)
+
+    # Slot t*n + v is vertex v of tree t. `via` holds _UNSEEN until the
+    # slot's level, then on a top-down level the position of its first
+    # candidate entry, and from then on the entry that claimed it. `rank`
+    # holds _UNSEEN until the slot's frontier runs bottom-up, and then its
+    # position in that frontier.
+    via = np.full(w * n, _UNSEEN, dtype=np.int32)
+    f_slot = np.arange(w, dtype=np.int64) * n + roots
+    via[f_slot] = -1
+    grow(via, keys, f_slot, w * two_m)
     if (via == _UNSEEN).any():
         raise ValueError("graph is not connected")
     return roots, via.reshape(w, n)
@@ -252,20 +266,19 @@ def contrast(g: Graph, trees: int, seed: int) -> np.ndarray:
     """Per-edge contrast over `trees` sampled BFT trees.
 
     Tree i is `sample_bft(g, subseeds(seed, trees)[i])`. The trees are
-    grown in sweeps of max(1, min(trees, SWEEP_CAP // 2m)) trees each (see
+    grown in sweeps of max(1, min(trees, SLOT_CAP // n)) trees each (see
     the module docstring). Claims per adjacency entry repeat across trees,
-    so each sweep adds them with one bincount; an edge's contrast is the
+    so each tree adds them with one bincount; an edge's contrast is the
     smaller count of its two entries. Raises ValueError if the graph is
     not connected or trees is not an integer >= 1.
     """
     trees = _int_scalar(trees, "trees", 1)
     seeds = subseeds(seed, trees)
-    width = max(1, min(trees, SWEEP_CAP // max(2 * g.m, 1)))
+    width = max(1, min(trees, SLOT_CAP // g.n))
     claims = np.zeros(2 * g.m, dtype=np.int64)
-    rev = _reverse_entries(g)
     for lo in range(0, trees, width):
-        entry = _sweep(g, seeds[lo:lo + width], rev)[1]
-        claims += np.bincount(entry[entry >= 0], minlength=2 * g.m)
+        for row in _sweep(g, seeds[lo:lo + width])[1]:
+            claims += np.bincount(row[row >= 0], minlength=2 * g.m)
     gamma = np.full(g.m, trees, dtype=np.int64)
     np.minimum.at(gamma, g.adj_eid, claims)
     return gamma

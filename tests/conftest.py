@@ -6,12 +6,14 @@ import heapq
 import math
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from treepart import (Graph, MetisFormatError, Partition, RootedTree,
                       balance_cap, sample_bft)
+from treepart.fundcut import _aggregates
 
 
 @pytest.fixture
@@ -393,11 +395,11 @@ def cut_corpus(count: int = 1000, seed: int = 20240501):
 def level_sync_bft(g: Graph, seed: int):
     """Oracle: one BFT tree grown alone, level by level.
 
-    Draws the root and 2m entry keys from `np.random.default_rng(seed)`
-    like treepart.sampling. Every new vertex is claimed by the frontier
-    entry minimizing (frontier position of the source, entry key), found by
-    a lexsort over all new entries, and the next frontier is ordered by
-    the same pair, ties by vertex id.
+    Draws the root and then a permutation of the n vertices, the vertex
+    keys, from `np.random.default_rng(seed)` like treepart.sampling. Every
+    new vertex is claimed by the frontier entry of least frontier position
+    reaching it, found by a lexsort over all new entries, and the next
+    frontier is ordered by (frontier position of the parent, key).
 
     Returns (root, parent, parent_edge, depth) as arrays; the root is its
     own parent. Raises ValueError if the graph is not connected.
@@ -411,7 +413,7 @@ def level_sync_bft(g: Graph, seed: int):
     parent[root] = root
     if n == 1:
         return root, parent, parent_edge, depth
-    keys = rng.random(2 * g.m)
+    keys = rng.permutation(n)
     off = g.adj_off
     visited = np.zeros(n, dtype=bool)
     visited[root] = True
@@ -433,8 +435,7 @@ def level_sync_bft(g: Graph, seed: int):
         tgt = tgt[new]
         entries = entries[new]
         rank = np.repeat(np.arange(frontier.size), counts)[new]
-        key = keys[entries]
-        order = np.lexsort((key, rank, tgt))
+        order = np.lexsort((rank, tgt))
         tgt_sorted = tgt[order]
         first = np.empty(len(order), dtype=bool)
         first[0] = True
@@ -447,7 +448,7 @@ def level_sync_bft(g: Graph, seed: int):
         depth[chosen] = d
         visited[chosen] = True
         reached += chosen.size
-        frontier = chosen[np.lexsort((key[sel], rank[sel]))]
+        frontier = chosen[np.lexsort((keys[chosen], rank[sel]))]
     if reached != n:
         raise ValueError("graph is not connected")
     return root, parent, parent_edge, depth
@@ -456,21 +457,22 @@ def level_sync_bft(g: Graph, seed: int):
 def queue_bft(g: Graph, seed: int):
     """Oracle: the sampling definition as a plain FIFO-queue BFS.
 
-    Same root and keys as `level_sync_bft`; each popped vertex scans its
-    adjacency entries in ascending key order and claims every neighbor not
-    yet seen. Returns (root, parent, parent_edge, depth) as lists.
+    Same root and vertex keys as `level_sync_bft`; each popped vertex scans
+    its neighbors in ascending key order and claims every one not yet
+    seen. Returns (root, parent, parent_edge, depth) as lists.
     """
     n = g.n
     rng = np.random.default_rng(seed)
     root = int(rng.integers(n))
-    keys = rng.random(2 * g.m).tolist() if n > 1 else []
+    keys = rng.permutation(n).tolist() if n > 1 else []
     off, nbr, eid = g.adj_off_list, g.adj_nbr_list, g.adj_eid.tolist()
     parent, parent_edge, depth = [-1] * n, [-1] * n, [0] * n
     parent[root] = root
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for i in sorted(range(off[u], off[u + 1]), key=keys.__getitem__):
+        for i in sorted(range(off[u], off[u + 1]),
+                        key=lambda i: keys[nbr[i]]):
             v = nbr[i]
             if parent[v] < 0:
                 parent[v], parent_edge[v], depth[v] = u, eid[i], depth[u] + 1
@@ -595,6 +597,19 @@ def naive_lca(t: RootedTree, u: int, v: int) -> int:
     while v not in ancestors:
         v = t.parent[v]
     return v
+
+
+@dataclass
+class CutAttributes:
+    subtree_vol: np.ndarray
+    intra_weight: np.ndarray
+    inter_weight: np.ndarray
+
+
+def cut_attributes(g: Graph, t: RootedTree) -> CutAttributes:
+    """The three per-vertex aggregates behind the fast conductances."""
+    _, sub, intra, inter = _aggregates(g, t, None)
+    return CutAttributes(sub, intra, inter)
 
 
 def postorder_cut_aggregates(g: Graph, t: RootedTree):

@@ -23,9 +23,8 @@ from treepart import (Partition, PartitionConfig, all_fundamental_conductances,
                       partition_multilevel, root_and_label, sample_bft,
                       save_metis)
 from treepart.cli import main as cli_main
-from treepart.fundcut import cut_attributes
 from tests.conftest import (block_weights, brute_force_conductance,
-                            cut_corpus, external_degrees,
+                            cut_attributes, cut_corpus, external_degrees,
                             random_balanced_blocks, random_connected_graph)
 from tests.test_fundcut import brute_attributes, family, tree_plus_chords
 from tests.test_rating import brute_cond

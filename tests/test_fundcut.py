@@ -5,10 +5,10 @@ import pytest
 
 from treepart import (Graph, all_fundamental_conductances, cond_all_edges,
                       root_and_label, sample_bft)
-from treepart.fundcut import cut_attributes
-from tests.conftest import (brute_force_conductance, cut_corpus, edge_id,
-                            naive_lca, postorder_cut_aggregates,
-                            random_connected_graph, volume)
+from tests.conftest import (brute_force_conductance, cut_attributes,
+                            cut_corpus, edge_id, naive_lca,
+                            postorder_cut_aggregates, random_connected_graph,
+                            volume)
 
 
 def descendants(t, u):

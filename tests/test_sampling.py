@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,10 @@ from tests.conftest import (cut_corpus, edge_id, level_sync_bft, neighbors,
 
 # One tree per sweep, and every tree of a collection in one sweep.
 CAPS = [1, 2 ** 40]
+# Sweeps that never split, that split into groups of max(1, 64 // 2m)
+# trees at their first level wider than 64 entries, and that split into
+# single trees at their first level.
+LEVEL_CAPS = [sampling.LEVEL_CAP, 64, 1]
 
 
 class TestSampleBft:
@@ -195,35 +200,52 @@ def swept_claims(g, trees, seed, monkeypatch):
     return gamma, claims
 
 
-def assert_sweeps_match_oracles(g, trees, seed, monkeypatch):
-    """Parents, parent edges, depths and per-entry claim counts of every
-    sampler path equal both per-tree oracles."""
-    seeds = subseeds(seed, trees)
+def swept_trees(g, seeds):
+    """(roots, parent, parent_edge) of the trees that one sweep grows."""
     roots, entry = sampling._sweep(g, seeds)
     # A claiming entry points from the parent to the vertex it claims.
     claimed = entry >= 0
     assert np.array_equal(g.adj_nbr[entry[claimed]], claimed.nonzero()[1])
-    assert np.array_equal((~claimed).sum(axis=1), np.ones(trees))
+    assert np.array_equal((~claimed).sum(axis=1), np.ones(len(seeds)))
     parent = np.repeat(roots[:, None], g.n, axis=1)
     parent[claimed] = g.csr_src[entry[claimed]]
-    parent_edge = np.full((trees, g.n), -1)
+    parent_edge = np.full((len(seeds), g.n), -1)
     parent_edge[claimed] = g.adj_eid[entry[claimed]]
-    alone = [sample_bft(g, s) for s in seeds]
-    counts = []
-    for cap in CAPS:
-        monkeypatch.setattr(sampling, "SWEEP_CAP", cap)
+    return roots, parent, parent_edge
+
+
+def assert_sweeps_match_oracles(g, trees, seed, monkeypatch,
+                                level_caps=LEVEL_CAPS):
+    """Parents, parent edges, depths and per-entry claim counts of every
+    sampler path equal both per-tree oracles. The sweep of all trees and
+    contrast's one wide sweep run at each LEVEL_CAP of `level_caps`, and
+    contrast also one tree per sweep."""
+    seeds = subseeds(seed, trees)
+    swept = []
+    monkeypatch.setattr(sampling, "SLOT_CAP", CAPS[0])
+    counts = [swept_claims(g, trees, seed, monkeypatch)]
+    monkeypatch.setattr(sampling, "SLOT_CAP", CAPS[1])
+    before = sampling.LEVEL_CAP
+    for cap in level_caps:
+        monkeypatch.setattr(sampling, "LEVEL_CAP", cap)
+        swept.append(swept_trees(g, seeds))
         counts.append(swept_claims(g, trees, seed, monkeypatch))
+    monkeypatch.setattr(sampling, "LEVEL_CAP", before)
+    alone = [sample_bft(g, s) for s in seeds]
     # Entry u -> v is the tree edge with u nearer the root, which is the
     # min_closer orientation iff u < v.
     min_closer = g.csr_src < g.adj_nbr
     for oracle in (level_sync_bft, queue_bft):
         want = [oracle(g, s) for s in seeds]
         for t, (root, pa, pe, depth) in enumerate(want):
-            assert roots[t] == alone[t].root == root
-            assert parent[t].tolist() == alone[t].parent.tolist() == list(pa)
-            assert (parent_edge[t].tolist() == alone[t].parent_edge.tolist()
-                    == list(pe))
+            assert alone[t].root == root
+            assert alone[t].parent.tolist() == list(pa)
+            assert alone[t].parent_edge.tolist() == list(pe)
             assert alone[t].depth.tolist() == list(depth)
+            for roots, parent, parent_edge in swept:
+                assert roots[t] == root
+                assert parent[t].tolist() == list(pa)
+                assert parent_edge[t].tolist() == list(pe)
         min_c, max_c = orientation_counts(g, want)
         want_claims = np.where(min_closer, min_c[g.adj_eid], max_c[g.adj_eid])
         for gamma, claims in counts:
@@ -256,44 +278,6 @@ class TestAgainstOracles:
                   Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])):
             for seed in range(5):
                 assert_sweeps_match_oracles(g, trees, seed, monkeypatch)
-
-
-class FixedKeys:
-    """Stands in for np.random.default_rng: root 0 and the given keys,
-    whatever the seed."""
-
-    keys = None
-
-    def __init__(self, seed):
-        pass
-
-    def integers(self, n):
-        return 0
-
-    def random(self, size=None, out=None):
-        if out is None:
-            return self.keys.copy()
-        out[:] = self.keys
-        return out
-
-
-def test_keys_closer_than_a_float_step_keep_their_order(monkeypatch):
-    # Star on 0 with leaves 1..2048, keyed so that leaf 2048 is popped last
-    # (frontier rank 2047). Its children 2049 and 2050 both reach 2051; the
-    # key of 2050 is lower by 2^-44, a quarter of a float step at 2047.5,
-    # so 2050 is popped first and claims 2051.
-    leaves = 2048
-    edges = [(0, i) for i in range(1, leaves + 1)]
-    edges += [(leaves, leaves + 1), (leaves, leaves + 2),
-              (leaves + 1, leaves + 3), (leaves + 2, leaves + 3)]
-    g = Graph.from_edges(leaves + 4, edges)
-    keys = np.full(2 * g.m, 0.25)
-    keys[:leaves] = np.arange(1, leaves + 1) / 4096
-    keys[g.csr_src == leaves] = [0.1, 0.5 + 2.0 ** -44, 0.5]
-    monkeypatch.setattr(FixedKeys, "keys", keys)
-    monkeypatch.setattr(np.random, "default_rng", FixedKeys)
-    assert queue_bft(g, 0)[1][leaves + 3] == leaves + 2
-    assert_sweeps_match_oracles(g, 2, 0, monkeypatch)
 
 
 def rated_graphs(g, seed, monkeypatch):
@@ -458,119 +442,137 @@ def test_sweep_matches_oracles_property_forced(direction, g, trees, seed):
         assert_sweeps_match_oracles(g, trees, seed, monkeypatch)
 
 
-REAL_RNG = np.random.default_rng
+class FixedKeys:
+    """Stands in for np.random.default_rng: root 0 and the given vertex
+    keys, whatever the seed."""
 
-
-class CoarseKeys:
-    """Stands in for np.random.default_rng: the real generator of the seed,
-    with every key x it draws mapped to floor(8x)/8, plus x * 2^-40 when
-    `distinct`. The keys then share their top 32 bits in 8 groups, so
-    siblings tie on the sweep's 32-bit keys and nearly every level takes
-    the exact fallback. With the small term the float keys mostly stay
-    apart; without it they tie too and must fall to CSR order."""
-
-    distinct = True
+    keys = None
 
     def __init__(self, seed):
-        self._rng = REAL_RNG(seed)
+        pass
 
     def integers(self, n):
-        return self._rng.integers(n)
+        return 0
 
-    def random(self, size=None, out=None):
-        x = self._rng.random(size, out=out)
-        x[...] = np.floor(8 * x) / 8 + (x * 2.0 ** -40 if self.distinct
-                                        else 0.0)
-        return x
+    def permutation(self, n):
+        return self.keys.copy()
 
 
-KEY_FORMS = ["ties-on-32-bits", "exact-ties"]
+def ladder(rungs):
+    """Root 0 with children 1..rungs; children i and i + 1 share the
+    grandchild rungs + i, and grandchildren j and j + 1 share the
+    great-grandchild rungs + j + (rungs - 1)."""
+    edges = [(0, i) for i in range(1, rungs + 1)]
+    edges += [(i, rungs + i) for i in range(1, rungs)]
+    edges += [(i + 1, rungs + i) for i in range(1, rungs)]
+    low, high = rungs + 1, 2 * rungs - 1
+    edges += [(j, j + rungs - 1) for j in range(low, high)]
+    edges += [(j + 1, j + rungs - 1) for j in range(low, high)]
+    return Graph.from_edges(3 * rungs - 2, edges)
 
 
-def coarse_keys(monkeypatch, form):
-    monkeypatch.setattr(CoarseKeys, "distinct", form == "ties-on-32-bits")
-    monkeypatch.setattr(np.random, "default_rng", CoarseKeys)
+@pytest.mark.parametrize("direction", FORCED + ["default"])
+@pytest.mark.parametrize("order", ["ascending", "descending"])
+def test_siblings_are_queued_by_key(order, direction, monkeypatch):
+    # A shared child goes to whichever of its two parents is queued first,
+    # the one of lower key: with ascending keys, child i claims grandchild
+    # rungs + i and grandchild j claims rungs + j + (rungs - 1); with
+    # descending keys, their right-hand neighbors do.
+    rungs = 6
+    g = ladder(rungs)
+    keys = np.arange(g.n) if order == "ascending" else np.arange(g.n)[::-1]
+    monkeypatch.setattr(FixedKeys, "keys", keys)
+    monkeypatch.setattr(np.random, "default_rng", FixedKeys)
+    force_direction(monkeypatch, direction)
+    shift = 0 if order == "ascending" else 1
+    want = {rungs + i: i + shift for i in range(1, rungs)}
+    want |= {j + rungs - 1: j + shift
+             for j in range(rungs + 1, 2 * rungs - 1)}
+    roots, parents, _ = swept_trees(g, [0, 1, 2])
+    assert roots.tolist() == [0, 0, 0]
+    for parent in [*parents, sample_bft(g, 0).parent]:
+        assert {v: int(parent[v]) for v in want} == want
+    assert_sweeps_match_oracles(g, 3, 0, monkeypatch)
 
 
-@pytest.fixture
-def regenerations(monkeypatch):
-    """The tied trees of each call to the sweep's exact fallback."""
-    calls = []
-    real = sampling._exact_keys
-    monkeypatch.setattr(sampling, "_exact_keys",
-                        lambda g, seeds, tree, claimed, tied:
-                        calls.append(np.unique(tied).tolist())
-                        or real(g, seeds, tree, claimed, tied))
-    return calls
+class LevelLog:
+    """Records, through the direction rule and `_queue`, each level that
+    the sweeps run, as (trees in the sweep or group, fdeg, bottom-up), and
+    how many slots each level claims."""
+
+    def __init__(self, monkeypatch, n):
+        self.levels, self.claimed = [], []
+        rule, queue = sampling._bottom_up, sampling._queue
+
+        def asked(fdeg, unseen, slots):
+            up = rule(fdeg, unseen, slots)
+            self.levels.append((slots // n, fdeg, up))
+            return up
+
+        def queued(via, key, slot, src, claimed):
+            self.claimed.append(slot.size)
+            return queue(via, key, slot, src, claimed)
+
+        monkeypatch.setattr(sampling, "_bottom_up", asked)
+        monkeypatch.setattr(sampling, "_queue", queued)
 
 
-@pytest.mark.parametrize("form", KEY_FORMS)
-def test_coarse_keys_tie_on_32_bits(form, monkeypatch):
-    coarse_keys(monkeypatch, form)
-    keys = np.random.default_rng(5).random(1000)
-    assert np.array_equal(keys, CoarseKeys(5).random(out=np.empty(1000)))
-    top = np.unique(np.floor(keys * 2.0 ** 32))
-    assert top.tolist() == [k * 2 ** 29 for k in range(8)]
-    distinct = np.unique(keys).size
-    if form == "ties-on-32-bits":
-        assert distinct > 900
-    else:
-        assert distinct == 8
-
-
-class TestKeyTies:
-    """Siblings whose keys tie on 32 bits take the exact fallback, which
-    orders them by their float keys, equal floats in CSR order: the sweep
-    still equals both oracles, in every direction."""
+class TestSplits:
+    """A sweep whose level gets wider than LEVEL_CAP entries splits into
+    groups of max(1, LEVEL_CAP // 2m) trees, each finished on its own; the
+    trees do not change, in any direction."""
 
     @pytest.mark.parametrize("direction", FORCED + ["default"])
-    @pytest.mark.parametrize("form", KEY_FORMS)
-    def test_criterion_1_corpus(self, form, direction, monkeypatch,
-                                regenerations):
-        coarse_keys(monkeypatch, form)
-        force_direction(monkeypatch, direction)
-        for i, (g, _) in enumerate(cut_corpus()):
-            assert_sweeps_match_oracles(g, (1, 3, 20)[i % 3], i, monkeypatch)
-        assert regenerations
-
-    @pytest.mark.parametrize("direction", FORCED + ["default"])
-    @pytest.mark.parametrize("form", KEY_FORMS)
-    def test_star_and_scale_free(self, form, direction, monkeypatch,
-                                 regenerations):
-        coarse_keys(monkeypatch, form)
+    @pytest.mark.parametrize("cap", [64, 1])
+    def test_star_and_scale_free(self, cap, direction, monkeypatch):
         force_direction(monkeypatch, direction)
         for g, trees, seed in ((star(3001, 0), 3, 1),
                                (generate_scale_free(3000, 4, 9), 3, 2)):
-            regenerations.clear()
-            assert_sweeps_match_oracles(g, trees, seed, monkeypatch)
-            assert regenerations
-
-    def test_fallback_redraws_only_the_tied_trees(self, monkeypatch,
-                                                  regenerations):
-        # One tree in three draws coarse keys; only it is ever redrawn.
-        g = generate_scale_free(500, 3, 4)
-        seeds = subseeds(6, 3)
-
-        def one_coarse(seed):
-            return (CoarseKeys if seed == seeds[1] else REAL_RNG)(seed)
-
-        monkeypatch.setattr(np.random, "default_rng", one_coarse)
-        roots, entry = sampling._sweep(g, seeds)
-        assert regenerations and set(sum(regenerations, [])) == {1}
-        for t, s in enumerate(seeds):
-            want = np.asarray(queue_bft(g, s)[2])
-            got = np.where(entry[t] >= 0, g.adj_eid[entry[t]], -1)
-            assert np.array_equal(got, want)
+            with monkeypatch.context() as patch:
+                patch.setattr(sampling, "LEVEL_CAP", cap)
+                log = LevelLog(patch, g.n)
+                sampling._sweep(g, subseeds(seed, trees))
+            assert min(width for width, *_ in log.levels) == 1
+            assert_sweeps_match_oracles(g, trees, seed, monkeypatch,
+                                        level_caps=[cap])
 
     @pytest.mark.parametrize("direction", FORCED + ["default"])
-    def test_real_keys_need_no_fallback(self, direction, monkeypatch,
-                                        regenerations):
+    @pytest.mark.parametrize("cap", [64, 1])
+    def test_levels_stay_under_the_cap(self, cap, direction, monkeypatch):
+        # Every level runs all trees of the sweep until the first one that
+        # is too wide; after it only groups of at most max(1, cap // 2m)
+        # trees run. Every level claims a slot, so no group counts more
+        # unseen entries than its trees have, and none stops early, since
+        # the trees equal the unsplit sweep's.
         force_direction(monkeypatch, direction)
-        g = generate_scale_free(3000, 4, 9)
-        for trees, seed in ((1, 3), (3, 9), (20, 7)):
-            sampling._sweep(g, subseeds(seed, trees))
-            contrast(g, trees, seed)
-        assert regenerations == []
+        graphs = [(g, (1, 3, 20)[i % 3], i)
+                  for i, (g, _) in enumerate(cut_corpus())]
+        graphs.append((generate_scale_free(3000, 4, 9), 20, 2))
+        splits = 0
+        for g, trees, seed in graphs:
+            seeds = subseeds(seed, trees)
+            with monkeypatch.context() as patch:
+                patch.setattr(sampling, "LEVEL_CAP", 2 ** 40)
+                roots, entry = sampling._sweep(g, seeds)
+            with monkeypatch.context() as patch:
+                patch.setattr(sampling, "LEVEL_CAP", cap)
+                log = LevelLog(patch, g.n)
+                got = sampling._sweep(g, seeds)
+            assert np.array_equal(got[0], roots)
+            assert np.array_equal(got[1], entry)
+            assert all(log.claimed)
+            group = max(1, cap // (2 * g.m))
+            wide = [width > group and (fdeg > cap or up and width * g.n > cap)
+                    for width, fdeg, up in log.levels]
+            widths = [width for width, *_ in log.levels]
+            if any(wide):
+                first = wide.index(True) + 1
+                assert widths[:first] == [trees] * first
+                assert max(widths[first:]) <= group
+                splits += 1
+            else:
+                assert set(widths) <= {trees}
+        assert splits > len(graphs) / 4
 
 
 def test_sampling_caches_nothing_on_the_graph():
@@ -596,22 +598,22 @@ def test_reverse_entries():
 
 
 @pytest.mark.parametrize("cap, m, trees, widths", [
-    (2 ** 17, 18742, 20, [3] * 6 + [2]),  # m of the 8 x 1250 grid strip
-    (2 ** 17, 39984, 20, [1] * 20),  # of generate_scale_free(10^4, 4)
+    (2 ** 17, 18742, 20, [6, 6, 6, 2]),
+    (2 ** 17, 39984, 20, [3] * 6 + [2]),
     (2 ** 17, 100, 20, [20]),
     (1, 100, 3, [1, 1, 1]),
     (2 ** 40, 100, 3, [3]),
-    (None, 18742, 20, [6, 6, 6, 2]),
-    (None, 39984, 20, [3] * 6 + [2]),
+    (None, 18742, 20, [20]),
+    (None, 39984, 20, [13, 7]),
 ])
 def test_sweep_width_follows_cap(cap, m, trees, widths, monkeypatch):
-    # W = max(1, min(trees, cap // 2m)) trees share a sweep; cap None is
-    # the default SWEEP_CAP.
+    # W = max(1, min(trees, cap // n)) trees share a sweep, on a star of m
+    # edges and n = m + 1 vertices; cap None is the default SLOT_CAP.
     g = Graph.from_edges(m + 1, [(0, i) for i in range(1, m + 1)])
     seen = []
     sweep = sampling._sweep
     if cap is not None:
-        monkeypatch.setattr(sampling, "SWEEP_CAP", cap)
+        monkeypatch.setattr(sampling, "SLOT_CAP", cap)
     monkeypatch.setattr(sampling, "_sweep",
                         lambda g, seeds, *rest: seen.append(len(seeds))
                         or sweep(g, seeds, *rest))
@@ -624,34 +626,86 @@ def strip_8x1250(seed):
     return family_graph("strip", 1250, random.Random(seed))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_strip_levels_bounded_by_width(seed, monkeypatch):
-    # The rule `_bottom_up` is asked once per BFS level. A sweep takes at
-    # most diameter + 1 levels, so contrast's ceil(20 / W) sweeps take at
-    # most 4 * 1257 = 5028 levels at W = 6; at W = 3 it swept 7453 to
-    # 8159.
-    g = strip_8x1250(seed)
-    width = sampling.SWEEP_CAP // (2 * g.m)
-    assert width == 6
+def shuffled_path(n):
+    return family_graph("path", n, random.Random(n))
+
+
+def count_levels(monkeypatch):
+    """The list to which each level of the sweeps that follow appends
+    itself: the rule `_bottom_up` is asked once per level."""
     levels = []
     rule = sampling._bottom_up
     monkeypatch.setattr(sampling, "_bottom_up",
                         lambda *level: levels.append(level) or rule(*level))
+    return levels
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_strip_levels_bounded_by_width(seed, monkeypatch):
+    # A sweep takes at most diameter + 1 levels, so contrast's
+    # ceil(20 / W) sweeps take at most 1 * 1257 levels at W = 20.
+    g = strip_8x1250(seed)
+    width = min(20, sampling.SLOT_CAP // g.n)
+    assert width == 20
+    levels = count_levels(monkeypatch)
     contrast(g, 20, seed)
     diameter = 1250 - 1 + 8 - 1
-    assert len(levels) <= math.ceil(20 / width) * (diameter + 1) == 5028
+    assert len(levels) <= math.ceil(20 / width) * (diameter + 1) == 1257
+
+
+def test_contrast_on_shuffled_paths_scales_linearly(monkeypatch):
+    # A path of n <= SLOT_CAP / 20 vertices takes the 20 trees in one
+    # sweep of at most n levels, so doubling n doubles the work; a sweep
+    # width that fell with n would make the time grow as n^2.
+    seconds = []
+    for n in (10 ** 4, 2 * 10 ** 4):
+        g = shuffled_path(n)
+        with monkeypatch.context() as patch:
+            levels = count_levels(patch)
+            sweeps = []
+            sweep = sampling._sweep
+            patch.setattr(sampling, "_sweep", lambda g, seeds:
+                          sweeps.append(seeds) or sweep(g, seeds))
+            contrast(g, 20, 7)
+        assert [len(seeds) for seeds in sweeps] == [20]
+        assert len(levels) <= n
+        best = math.inf
+        for _ in range(2):
+            start = time.perf_counter()
+            contrast(g, 20, 7)
+            best = min(best, time.perf_counter() - start)
+        seconds.append(best)
+    assert seconds[1] / seconds[0] <= 3.0
+
+
+def test_reverse_map_made_at_the_first_bottom_up_level(monkeypatch):
+    # A strip never takes a bottom-up level, so its sweep makes no reverse
+    # map; a scale-free sweep makes one, which its groups share.
+    made = []
+    real = sampling._reverse_entries
+    monkeypatch.setattr(sampling, "_reverse_entries",
+                        lambda g: made.append(g) or real(g))
+    contrast(family_graph("strip", 200, random.Random(3)), 20, 1)
+    assert made == []
+    g = generate_scale_free(3000, 4, 9)
+    for cap in LEVEL_CAPS:
+        monkeypatch.setattr(sampling, "LEVEL_CAP", cap)
+        made.clear()
+        sampling._sweep(g, subseeds(4, 3))
+        assert made == [g]
 
 
 @pytest.mark.parametrize("make, bound_mib", [
-    (lambda: strip_8x1250(0), 2.6),
-    (lambda: generate_scale_free(10 ** 4, 4, 1), 6.5),
-], ids=["strip-8x1250", "sf-10^4"])
+    (lambda: strip_8x1250(0), 2.3),
+    (lambda: generate_scale_free(10 ** 4, 4, 1), 5.8),
+    (lambda: shuffled_path(2 * 10 ** 4), 4.3),
+], ids=["strip-8x1250", "sf-10^4", "path-2x10^4"])
 def test_contrast_peak_memory(make, bound_mib):
-    # Narrower keys pay for the width: 2^18 uint32 keys take the bytes of
-    # 2^17 float64 keys, and the float draw is freed before the levels run.
-    # The strip reads 2.48 MiB (W = 6; 2.23 with float64 keys at W = 3),
-    # sf 6.02 MiB (W = 3, whose per-level temporaries are three times
-    # those of W = 1; 3.4 at W = 1).
+    # A sweep holds 8 bytes per slot, an int32 key and an int32 `via`,
+    # and per-level temporaries bounded by LEVEL_CAP entries. The strip
+    # (W = 20, one sweep) reads 2.08 MiB, sf (W = 20, split into single
+    # trees at its first level wider than LEVEL_CAP) 5.26 MiB and the
+    # 2*10^4 path (W = 20) 3.90 MiB.
     g = make()
     contrast(g, 1, 0)
     tracemalloc.start()
@@ -671,7 +725,7 @@ class TestErrorPaths:
         Graph.from_edges(3, []),
     ])
     def test_disconnected_rejected(self, g, cap, monkeypatch):
-        monkeypatch.setattr(sampling, "SWEEP_CAP", cap)
+        monkeypatch.setattr(sampling, "SLOT_CAP", cap)
         for trees in (1, 3, 20):
             with pytest.raises(ValueError, match="^graph is not connected$"):
                 contrast(g, trees, 7)
@@ -715,7 +769,7 @@ class TestErrorPaths:
                 drawn.append(name)
                 return getattr(self._rng, name)
 
-        monkeypatch.setattr(sampling, "SWEEP_CAP", cap)
+        monkeypatch.setattr(sampling, "SLOT_CAP", cap)
         monkeypatch.setattr(np.random, "default_rng", Recording)
         g = Graph.from_edges(1, [])
         for trees in (1, 3, 20):
@@ -724,6 +778,8 @@ class TestErrorPaths:
             assert entry.tolist() == [[-1]] * trees
             assert contrast(g, trees, 11).shape == (0,)
         assert sample_bft(g, 5).root == 0
-        assert "random" not in drawn
+        assert set(drawn) == {"integers"}
+        # Each tree draws its root, then its vertex keys.
+        drawn.clear()
         contrast(Graph.from_edges(2, [(0, 1)]), 3, 11)
-        assert "random" in drawn
+        assert drawn == ["integers", "permutation"] * 3
