@@ -495,6 +495,57 @@ def test_siblings_are_queued_by_key(order, direction, monkeypatch):
     assert_sweeps_match_oracles(g, 3, 0, monkeypatch)
 
 
+REAL_RNG = np.random.default_rng
+
+
+class TestKeyTies:
+    """Each level orders its claimed slots with one unstable argsort of
+    (frontier position of the parent << 32 | key), which needs no
+    tie-break: the keys of a tree are a permutation of its vertices and
+    frontier positions differ across trees, so no two sort keys tie."""
+
+    @pytest.mark.parametrize("direction", FORCED + ["default"])
+    def test_real_keys_need_no_fallback(self, direction, monkeypatch):
+        force_direction(monkeypatch, direction)
+        g = generate_scale_free(3000, 4, 9)
+        drawn, sorted_keys, ties = [], [], []
+
+        class Recording:
+            def __init__(self, seed):
+                self._rng = REAL_RNG(seed)
+
+            def integers(self, n):
+                return self._rng.integers(n)
+
+            def permutation(self, n):
+                keys = self._rng.permutation(n)
+                drawn.append(keys)
+                return keys
+
+        queue = sampling._queue
+
+        def queued(via, key, slot, src, claimed):
+            order = src << 32 | key[slot]
+            sorted_keys.append(order.size)
+            ties.append(order.size - np.unique(order).size)
+            return queue(via, key, slot, src, claimed)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        monkeypatch.setattr(sampling, "_queue", queued)
+        for trees, seed in ((1, 3), (3, 9), (20, 7)):
+            seeds = subseeds(seed, trees)
+            _, entry = sampling._sweep(g, seeds)
+            contrast(g, trees, seed)
+            for t, s in enumerate(seeds):
+                want = np.asarray(queue_bft(g, s)[2])
+                got = np.where(entry[t] >= 0, g.adj_eid[entry[t]], -1)
+                assert np.array_equal(got, want)
+        assert len(drawn) == 3 * (1 + 3 + 20)
+        for keys in drawn:
+            assert np.array_equal(np.sort(keys), np.arange(g.n))
+        assert sum(sorted_keys) > 0 and not any(ties)
+
+
 class LevelLog:
     """Records, through the direction rule and `_queue`, each level that
     the sweeps run, as (trees in the sweep or group, fdeg, bottom-up), and
