@@ -192,7 +192,8 @@ class Graph:
     @cached_property
     def is_connected(self) -> bool:
         """True iff the graph has a single connected component."""
-        return len(connected_components(self)) == 1
+        _, comp = _boruvka(self, np.arange(self.m))
+        return bool((comp == comp[0]).all())
 
 
 def check_connected(g: Graph) -> bool:

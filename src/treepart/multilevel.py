@@ -310,14 +310,13 @@ def fm_refine(g: Graph, p: Partition, epsilon: float) -> Partition:
     return Partition(list(block))
 
 
-def partition_multilevel(g: Graph, cfg: PartitionConfig) -> Partition:
-    """Full multilevel bipartition of a connected graph."""
-    if not check_connected(g):
-        raise ValueError("input graph must be connected")
-    rng = random.Random(cfg.seed)
-    total = int(g.vertex_c.sum())
-    max_vertex_weight = 1.5 * total / cfg.coarsest_size
-
+def _coarsen(g: Graph, cfg: PartitionConfig, rng: random.Random
+             ) -> tuple[list[tuple[Graph, np.ndarray]], Graph]:
+    """Contract g level by level until at most cfg.coarsest_size vertices
+    remain or a level shrinks by less than SHRINK_LIMIT. Returns the stack
+    of (graph, fine-to-coarse map) pairs, finest first, and the coarsest
+    graph. A contraction that merges nothing is dropped."""
+    max_vertex_weight = 1.5 * int(g.vertex_c.sum()) / cfg.coarsest_size
     levels: list[tuple[Graph, np.ndarray]] = []
     cur = g
     while cur.n > cfg.coarsest_size:
@@ -331,11 +330,31 @@ def partition_multilevel(g: Graph, cfg: PartitionConfig) -> Partition:
         cur = coarse
         if shrink < SHRINK_LIMIT:
             break
+    return levels, cur
 
-    p = initial_bipartition(cur, cfg.epsilon, rng.getrandbits(64))
-    p = fm_refine(cur, p, cfg.epsilon)
-    for fine, cmap in reversed(levels):
+
+def partition_multilevel(g: Graph, cfg: PartitionConfig) -> Partition:
+    """Full multilevel bipartition of a connected graph.
+
+    Uncoarsening pops the hierarchy one level at a time: once a level's
+    partition is projected onto the next finer graph, nothing refers to
+    the coarse graph, its cached adjacency lists or its vertex map any
+    more, so they are freed before FM refines the finer level. While FM
+    runs on a level, only that graph and the finer ones are alive, and
+    the caller's graph keeps its lists for later passes such as
+    :func:`~treepart.mcv.mcv_postprocess`.
+    """
+    if not check_connected(g):
+        raise ValueError("input graph must be connected")
+    rng = random.Random(cfg.seed)
+    levels, coarse = _coarsen(g, cfg, rng)
+    p = initial_bipartition(coarse, cfg.epsilon, rng.getrandbits(64))
+    p = fm_refine(coarse, p, cfg.epsilon)
+    del coarse
+    while levels:
+        fine, cmap = levels.pop()
         p = Partition(np.asarray(p.block)[cmap].tolist())
+        del cmap
         p = fm_refine(fine, p, cfg.epsilon)
     if not is_balanced(g, p, cfg.epsilon):
         logger.warning("final partition violates the balance constraint "

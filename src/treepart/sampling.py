@@ -100,11 +100,19 @@ _UNSEEN = np.iinfo(np.int32).max
 
 def _reverse_entries(g: Graph) -> np.ndarray:
     """rev[i] is the adjacency entry of edge adj_eid[i] in the opposite
-    orientation, in O(m) and without a sort."""
-    down = (g.adj_nbr != g.edge_v[g.adj_eid]).astype(np.int64)
-    by_edge = np.empty((g.m, 2), dtype=np.int64)
-    by_edge[g.adj_eid, down] = np.arange(2 * g.m)
-    return by_edge[g.adj_eid, 1 - down]
+    orientation, as int32, in O(m) and without a sort.
+
+    Row u lists its smaller neighbors first, then the entries u -> v with
+    u < v in canonical edge order. So the entry u -> v of edge e sits at e
+    plus the count of smaller-neighbor entries in rows 0..u, and every
+    other entry is the reverse of the one its edge has there."""
+    lower = np.bincount(g.edge_v, minlength=g.n).cumsum().astype(np.int32)
+    up = lower[g.edge_u]
+    up += np.arange(g.m, dtype=np.int32)
+    rev = up[g.adj_eid]
+    down = (rev != np.arange(2 * g.m, dtype=np.int32)).nonzero()[0]
+    rev[rev[down]] = down
+    return rev
 
 
 def _bottom_up(fdeg: int, unseen: int, slots: int) -> bool:
@@ -245,6 +253,10 @@ def _sweep(g: Graph, seeds: Sequence[int]):
     f_slot = np.arange(w, dtype=np.int64) * n + roots
     via[f_slot] = -1
     grow(via, keys, f_slot, w * two_m)
+    # grow's closure holds grow: clearing the name breaks that cycle, so g
+    # and `rev` are freed as soon as the caller drops them, not at the
+    # next cyclic collection.
+    del grow
     if (via == _UNSEEN).any():
         raise ValueError("graph is not connected")
     return roots, via.reshape(w, n)

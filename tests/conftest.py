@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import heapq
 import math
 import random
+import tracemalloc
 from collections import deque
 from dataclasses import dataclass
 
@@ -14,6 +16,17 @@ import pytest
 from treepart import (Graph, MetisFormatError, Partition, RootedTree,
                       balance_cap, sample_bft)
 from treepart.fundcut import _aggregates
+
+
+@pytest.fixture
+def refcount_only():
+    """The cyclic garbage collector stays off for the test, so an object
+    is freed only when its last reference goes."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 @pytest.fixture
@@ -103,6 +116,16 @@ def block_weights(g: Graph, block) -> list[int]:
     for v, b in enumerate(block):
         weights[b] += c[v]
     return weights
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_connected_graph(rng: random.Random, n_lo: int = 3, n_hi: int = 12,
@@ -496,6 +519,15 @@ def orientation_counts(g: Graph, tree_list):
                 else:
                     max_c[e] += 1
     return min_c, max_c
+
+
+def reverse_entries_by_edge(g: Graph) -> np.ndarray:
+    """Oracle: the int64 reverse-entry map through an (m, 2) table holding
+    each edge's entry from its smaller endpoint, then from its larger."""
+    down = (g.adj_nbr != g.edge_v[g.adj_eid]).astype(np.int64)
+    by_edge = np.empty((g.m, 2), dtype=np.int64)
+    by_edge[g.adj_eid, down] = np.arange(2 * g.m)
+    return by_edge[g.adj_eid, 1 - down]
 
 
 class UnionFind:

@@ -173,9 +173,10 @@ class TestConnectivity:
 
     def test_answer_cached_on_graph(self, monkeypatch):
         calls = []
-        components = graph_module.connected_components
-        monkeypatch.setattr(graph_module, "connected_components",
-                            lambda g: calls.append(g) or components(g))
+        boruvka = graph_module._boruvka
+        monkeypatch.setattr(graph_module, "_boruvka",
+                            lambda g, ranked: calls.append(g)
+                            or boruvka(g, ranked))
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         assert not check_connected(g)
         assert not check_connected(g)

@@ -1,4 +1,5 @@
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from treepart import (RATINGS, Graph, Partition, PartitionConfig,
                       balance_cap, contract, edge_cut, fm_refine,
                       generate_scale_free, greedy_matching,
                       initial_bipartition, is_balanced, partition_multilevel)
+from treepart import multilevel
 from tests.conftest import (MALFORMED_PARTITIONS, block_weights, chorded_c6,
                             edge_id, neighbors, random_balanced_blocks,
-                            random_connected_graph)
+                            random_connected_graph, traced_peak)
+from tests.test_spantree import strip
 
 
 def max_weight_matching_value(g, rating):
@@ -285,6 +288,44 @@ class TestPartitionMultilevel:
         cfg = PartitionConfig(trees=1, coarsest_size=2, epsilon=0.0)
         assert block_weights(k2, partition_multilevel(k2, cfg).block) \
             == [1, 1]
+
+
+@pytest.mark.parametrize("make, rating", [
+    (lambda: generate_scale_free(3000, 4, 1), "exp2"),
+    (lambda: generate_scale_free(3000, 4, 1), "excond"),
+    (lambda: strip(200, random.Random(5)), "excond"),
+], ids=["sf-3000-exp2", "sf-3000-excond", "strip-8x200-excond"])
+def test_uncoarsening_frees_each_coarse_level(make, rating, monkeypatch,
+                                              refcount_only):
+    # When FM refines a level, reference counting has freed every coarser
+    # graph it refined before, while the caller's graph stays alive.
+    seen = []
+    real = multilevel.fm_refine
+
+    def spy(g, p, epsilon):
+        assert all(ref() is None for ref in seen)
+        seen.append(weakref.ref(g))
+        return real(g, p, epsilon)
+
+    monkeypatch.setattr(multilevel, "fm_refine", spy)
+    g = make()
+    p = partition_multilevel(g, PartitionConfig(rating=rating, seed=3))
+    assert len(seen) >= 4
+    assert seen[-1]() is g
+    assert all(ref() is None for ref in seen[:-1])
+    assert is_balanced(g, p, PartitionConfig().epsilon)
+
+
+def test_partition_peak_memory():
+    # Peak of the exp2 partition of sf-3000 (n = 3000, m = 11,990), the
+    # finest level's adjacency lists included: 3.25 MiB with each coarse
+    # level freed once it is projected, 9.5 MiB when all levels stayed
+    # alive until the partition returned.
+    cfg = PartitionConfig(rating="exp2")
+    partition_multilevel(generate_scale_free(3000, 4, 1), cfg)
+    g = generate_scale_free(3000, 4, 1)
+    assert traced_peak(lambda: partition_multilevel(g, cfg)) \
+        <= 4.5 * 2 ** 20
 
 
 @st.composite

@@ -2,7 +2,7 @@ import itertools
 import math
 import random
 import time
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from treepart import multilevel, sampling
 from treepart.sampling import subseeds
 from tests.conftest import (cut_corpus, edge_id, level_sync_bft, neighbors,
                             orientation_counts, queue_bft,
-                            random_connected_graph)
+                            random_connected_graph, reverse_entries_by_edge,
+                            traced_peak)
 
 # One tree per sweep, and every tree of a collection in one sweep.
 CAPS = [1, 2 ** 40]
@@ -627,15 +628,26 @@ class TestSplits:
 
 
 def test_sampling_caches_nothing_on_the_graph():
-    # partition_multilevel keeps every level's Graph alive, so an array
-    # cached on it grows with the number of levels: caching the 2m-entry
-    # reverse map raised sf-excond's peak RSS by 3 MB (101 to 104 MB).
+    # An array cached on a Graph lives as long as the graph, and the
+    # caller's graph outlives partition_multilevel: caching the 2m-entry
+    # reverse map raised sf-excond's peak RSS by 3 MB (101 to 104 MB)
+    # when every level stayed alive until the partition returned.
     g = generate_scale_free(300, 3, 1)
     before = dict(vars(g))
     contrast(g, 20, 7)
     sample_bft(g, 7)
     assert vars(g).keys() == before.keys()
     assert all(vars(g)[k] is v for k, v in before.items())
+
+
+def test_contrast_leaves_no_cycle_holding_the_graph(refcount_only):
+    # Once contrast returns, reference counting alone frees the graph and
+    # the sweep's reverse map.
+    g = generate_scale_free(3000, 4, 9)
+    ref = weakref.ref(g)
+    contrast(g, 20, 7)
+    del g
+    assert ref() is None
 
 
 def test_reverse_entries():
@@ -646,6 +658,15 @@ def test_reverse_entries():
     assert np.array_equal(src[rev], g.adj_nbr)
     assert np.array_equal(g.adj_nbr[rev], src)
     assert sampling._reverse_entries(Graph.from_edges(1, [])).size == 0
+
+
+def test_reverse_entries_match_the_edge_table():
+    graphs = [g for g, _ in cut_corpus()]
+    graphs += [Graph.from_edges(1, []), generate_scale_free(3000, 4, 1)]
+    for g in graphs:
+        rev = sampling._reverse_entries(g)
+        assert rev.dtype == np.int32
+        assert np.array_equal(rev, reverse_entries_by_edge(g))
 
 
 @pytest.mark.parametrize("cap, m, trees, widths", [
@@ -748,24 +769,18 @@ def test_reverse_map_made_at_the_first_bottom_up_level(monkeypatch):
 
 @pytest.mark.parametrize("make, bound_mib", [
     (lambda: strip_8x1250(0), 2.3),
-    (lambda: generate_scale_free(10 ** 4, 4, 1), 5.8),
+    (lambda: generate_scale_free(10 ** 4, 4, 1), 5.5),
     (lambda: shuffled_path(2 * 10 ** 4), 4.3),
 ], ids=["strip-8x1250", "sf-10^4", "path-2x10^4"])
 def test_contrast_peak_memory(make, bound_mib):
     # A sweep holds 8 bytes per slot, an int32 key and an int32 `via`,
     # and per-level temporaries bounded by LEVEL_CAP entries. The strip
     # (W = 20, one sweep) reads 2.08 MiB, sf (W = 20, split into single
-    # trees at its first level wider than LEVEL_CAP) 5.26 MiB and the
+    # trees at its first level wider than LEVEL_CAP) 5.01 MiB and the
     # 2*10^4 path (W = 20) 3.90 MiB.
     g = make()
     contrast(g, 1, 0)
-    tracemalloc.start()
-    try:
-        contrast(g, 20, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound_mib * 2 ** 20
+    assert traced_peak(lambda: contrast(g, 20, 1)) <= bound_mib * 2 ** 20
 
 
 class TestErrorPaths:
