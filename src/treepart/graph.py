@@ -149,7 +149,9 @@ class Graph:
         ends = np.concatenate([self.edge_u, self.edge_v])
         other = np.concatenate([self.edge_v, self.edge_u])
         eids = np.concatenate([np.arange(self.m), np.arange(self.m)])
-        order = np.argsort(ends * self.n + other, kind="stable")  # n < 3e9
+        # Distinct keys in a simple graph, so an unstable sort gives the one
+        # order; n < 3e9 keeps them in int64.
+        order = np.argsort(ends * self.n + other)
         nbr = other[order]
         eid = eids[order]
         counts = np.bincount(ends, minlength=self.n)

@@ -242,7 +242,10 @@ def serialize_metis(g: Graph) -> str:
     fmt = {(False, False): "", (False, True): " 1",
            (True, False): " 10", (True, True): " 11"}[(has_vw, has_ew)]
     out = [f"{g.n} {g.m}{fmt}"]
-    off, nbr, w = g.adj_off_list, g.adj_nbr_list, g.adj_w_list
+    # Local lists, not the graph's cached mirrors: saving a graph must not
+    # leave its adjacency cached as Python lists for the graph's lifetime.
+    off, nbr = g.adj_off.tolist(), g.adj_nbr.tolist()
+    w = g.edge_w[g.adj_eid].tolist()
     for u in range(g.n):
         parts = []
         if has_vw:

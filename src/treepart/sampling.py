@@ -42,8 +42,14 @@ tree is the one a sequential BFS with those keys builds. On each level:
 Each level finds the claims in one of two directions (direction-optimizing
 BFS, Beamer, Asanovic & Patterson 2012):
 
-- Top-down expands every entry of the frontier, and `np.minimum.at` over
-  the entries' positions finds each slot's first one.
+- Top-down expands every entry of the frontier and runs one
+  `np.minimum.at` of the entries' positions into `via`. A claimed slot
+  holds -2 - entry, and a root -1, so every slot claimed on an earlier
+  level is negative and keeps its code, while each unseen slot, which
+  holds _UNSEEN, takes the position of its first candidate. The winners
+  are the entries whose position their slot then holds: one comparison,
+  with no pass that first filters out the claimed slots. The sweep
+  decodes `via` in place before it returns.
 - Bottom-up has each unseen slot v scan its own entries v -> u for the
   frontier neighbor u of least frontier position, with one
   `np.minimum.reduceat`. That u is the parent top-down finds, and the
@@ -77,7 +83,8 @@ a group's first bottom-up level, holds at most max(LEVEL_CAP, n) slots.
 Trees are independent, so the split changes no tree. An 8 x 1250 strip
 never splits; generate_scale_free(10^4, 4) splits into single trees at
 its first level wider than the cap. The int32 state bounds the graph:
-W*n and 2m must stay below 2^31.
+W*n and 2m must stay below 2^31. Then every entry is at most 2^31 - 2, so
+its code -2 - entry is at least -2^31 and fits `via`.
 """
 
 from __future__ import annotations
@@ -124,31 +131,33 @@ def _bottom_up(fdeg: int, unseen: int, slots: int) -> bool:
 def _queue(via: np.ndarray, key: np.ndarray, slot: np.ndarray,
            src: np.ndarray, claimed: np.ndarray) -> np.ndarray:
     """Record that entries `claimed` claim slots `slot` from the parents at
-    frontier positions `src`, and return those slots in queue order, by
-    (frontier position of the parent, key)."""
-    via[slot] = claimed
+    frontier positions `src`, each as the code -2 - entry, and return those
+    slots in queue order, by (frontier position of the parent, key)."""
+    via[slot] = -2 - claimed
     return slot[(src << 32 | key[slot]).argsort()]
 
 
 def _top_down(g: Graph, via: np.ndarray, key: np.ndarray,
               f_slot: np.ndarray, f_vert: np.ndarray, counts: np.ndarray,
-              ends: np.ndarray) -> np.ndarray:
+              ends: np.ndarray, fdeg: int) -> np.ndarray:
     """Expand every entry of the frontier; each unseen slot it reaches is
     claimed by its first entry. Returns the next frontier."""
     # Adjacency entry and target slot of every expansion, in frontier
-    # order; `pos` is the position in that order.
-    entry = np.arange(ends[-1])
-    entry += (g.adj_off[f_vert] + counts - ends).repeat(counts)
+    # order; `pos` is the position in that order, int32 like `via`:
+    # np.minimum.at is ten times slower when it casts.
+    pos = np.arange(fdeg, dtype=np.int32)
+    entry = (g.adj_off[f_vert] + counts - ends).repeat(counts)
+    entry += pos
     slot = (f_slot - f_vert).repeat(counts)
     slot += g.adj_nbr[entry]
-    # int32 like `via`: np.minimum.at is ten times slower when it casts.
-    pos = (via[slot] == _UNSEEN).nonzero()[0].astype(np.int32)
-    slot = slot[pos]
     np.minimum.at(via, slot, pos)
-    won = via[slot] == pos
-    pos, slot = pos[won], slot[won]
-    src = ends.searchsorted(pos, side="right")
-    return _queue(via, key, slot, src, entry[pos])
+    won = (via[slot] == pos).nonzero()[0]
+    # The level's full-length arrays go before the claims are queued.
+    del pos
+    slot, claimed = slot[won], entry[won]
+    del entry
+    return _queue(via, key, slot, ends.searchsorted(won, side="right"),
+                  claimed)
 
 
 def _bottom_up_level(g: Graph, via: np.ndarray, key: np.ndarray,
@@ -235,7 +244,7 @@ def _sweep(g: Graph, seeds: Sequence[int]):
                 return
             if not up:
                 f_slot = _top_down(g, via, key, f_slot, f_vert, counts,
-                                   ends)
+                                   ends, fdeg)
                 continue
             if rev is None:
                 rev = _reverse_entries(g)
@@ -246,9 +255,9 @@ def _sweep(g: Graph, seeds: Sequence[int]):
 
     # Slot t*n + v is vertex v of tree t. `via` holds _UNSEEN until the
     # slot's level, then on a top-down level the position of its first
-    # candidate entry, and from then on the entry that claimed it. `rank`
-    # holds _UNSEEN until the slot's frontier runs bottom-up, and then its
-    # position in that frontier.
+    # candidate entry, and from then on -2 - the entry that claimed it, or
+    # -1 at a root. `rank` holds _UNSEEN until the slot's frontier runs
+    # bottom-up, and then its position in that frontier.
     via = np.full(w * n, _UNSEEN, dtype=np.int32)
     f_slot = np.arange(w, dtype=np.int64) * n + roots
     via[f_slot] = -1
@@ -259,6 +268,8 @@ def _sweep(g: Graph, seeds: Sequence[int]):
     del grow
     if (via == _UNSEEN).any():
         raise ValueError("graph is not connected")
+    # Decode in place: a copy would raise the sweep's peak memory.
+    np.subtract(-2, via, out=via)
     return roots, via.reshape(w, n)
 
 

@@ -6,6 +6,7 @@ import gc
 import heapq
 import math
 import random
+import time
 import tracemalloc
 from collections import deque
 from dataclasses import dataclass
@@ -126,6 +127,19 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def interleaved_best(fns, rounds: int) -> list[float]:
+    """Best seconds of each fn over `rounds` rounds, where each round calls
+    every fn once, in turn: a shift in machine speed then reaches every fn
+    alike, not only the ones timed after it."""
+    best = [math.inf] * len(fns)
+    for _ in range(rounds):
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - start)
+    return best
 
 
 def random_connected_graph(rng: random.Random, n_lo: int = 3, n_hi: int = 12,

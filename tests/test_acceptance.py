@@ -25,7 +25,8 @@ from treepart import (Partition, PartitionConfig, all_fundamental_conductances,
 from treepart.cli import main as cli_main
 from tests.conftest import (block_weights, brute_force_conductance,
                             cut_attributes, cut_corpus, external_degrees,
-                            random_balanced_blocks, random_connected_graph)
+                            interleaved_best, random_balanced_blocks,
+                            random_connected_graph)
 from tests.test_fundcut import brute_attributes, family, tree_plus_chords
 from tests.test_rating import brute_cond
 
@@ -139,17 +140,18 @@ def test_criterion_3_linear_work_bound(small_corpus):
     }
     ratios = {}
     details = []
+
+    def conductances(g, t):
+        stats = {}
+        all_fundamental_conductances(g, t, stats)
+        assert stats["adjacency_visits"] + stats["vertex_visits"] \
+            <= 2 * g.m + g.n
+        assert stats["path_steps"] <= path_step_bound(g)
+
     for name, (small, big) in families.items():
-        best = [float("inf"), float("inf")]
-        for _ in range(5):    # interleaved best-of-5 to suppress noise
-            for i, (g, t) in enumerate((small, big)):
-                stats = {}
-                t0 = time.perf_counter()
-                all_fundamental_conductances(g, t, stats)
-                best[i] = min(best[i], time.perf_counter() - t0)
-                assert stats["adjacency_visits"] + stats["vertex_visits"] \
-                    <= 2 * g.m + g.n
-                assert stats["path_steps"] <= path_step_bound(g)
+        # Interleaved best-of-5 to suppress noise.
+        best = interleaved_best([lambda g=g, t=t: conductances(g, t)
+                                 for g, t in (small, big)], 5)
         ratios[name] = best[1] / best[0]
         details.append(f"{name} {best[0] * 1e3:.0f}ms @m={small[0].m} vs "
                        f"{best[1] * 1e3:.0f}ms @m={big[0].m}, ratio "

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from treepart import (Graph, check_connected, connected_components,
-                      largest_component)
+                      generate_scale_free, largest_component)
 from treepart import graph as graph_module
-from tests.conftest import (random_connected_graph, union_find_components,
-                            volume)
+from tests.conftest import (cut_corpus, random_connected_graph,
+                            union_find_components, volume)
 from tests.test_spantree import family_graph, strip
 
 
@@ -129,6 +129,20 @@ class TestConstruction:
             assert g.adj_nbr.tolist() == other[order].tolist()
             assert g.adj_eid.tolist() == \
                 np.r_[np.arange(g.m), np.arange(g.m)][order].tolist()
+
+    def test_unstable_csr_sort_matches_lexsort(self):
+        # The CSR sorts the keys end * n + other end with an unstable
+        # argsort. They are distinct in a simple graph, so the adjacency
+        # is the (end, other end) lexsort order.
+        graphs = [g for g, _ in cut_corpus()]
+        graphs.append(generate_scale_free(3000, 4, 1))
+        for g in graphs:
+            ends = np.r_[g.edge_u, g.edge_v]
+            other = np.r_[g.edge_v, g.edge_u]
+            order = np.lexsort((other, ends))
+            assert np.array_equal(g.adj_nbr, other[order])
+            assert np.array_equal(g.adj_eid,
+                                  np.r_[np.arange(g.m), np.arange(g.m)][order])
 
 
 class TestVolume:

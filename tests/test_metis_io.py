@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from treepart import (MetisFormatError, parse_metis, serialize_metis,
-                      write_partition)
+from treepart import (MetisFormatError, generate_scale_free, parse_metis,
+                      save_metis, serialize_metis, write_partition)
 from tests.conftest import random_connected_graph
 
 
@@ -80,6 +80,20 @@ def test_round_trip_random_graphs():
         assert list(h.edge_u) == list(g.edge_u)
         assert list(h.edge_v) == list(g.edge_v)
         assert list(h.edge_w) == list(g.edge_w)
+
+
+def test_saving_caches_nothing_on_the_graph(tmp_path):
+    # The graph's list mirrors would live as long as the graph: about 6 MB
+    # on generate_scale_free(10^4, 4), kept by any caller that saves a
+    # graph and then goes on using it.
+    graphs = [generate_scale_free(300, 3, 1),
+              random_connected_graph(random.Random(5), 30, 40)]
+    for g in graphs:
+        before = dict(vars(g))
+        serialize_metis(g)
+        save_metis(g, tmp_path / "g.graph")
+        assert vars(g).keys() == before.keys()
+        assert all(vars(g)[k] is v for k, v in before.items())
 
 
 def test_serialize_unit_weights_omits_flags(p3):

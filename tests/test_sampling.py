@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import time
 import weakref
 
 import numpy as np
@@ -12,10 +11,10 @@ from treepart import (Graph, PartitionConfig, contrast, generate_scale_free,
                       partition_multilevel, sample_bft)
 from treepart import multilevel, sampling
 from treepart.sampling import subseeds
-from tests.conftest import (cut_corpus, edge_id, level_sync_bft, neighbors,
-                            orientation_counts, queue_bft,
-                            random_connected_graph, reverse_entries_by_edge,
-                            traced_peak)
+from tests.conftest import (cut_corpus, edge_id, interleaved_best,
+                            level_sync_bft, neighbors, orientation_counts,
+                            queue_bft, random_connected_graph,
+                            reverse_entries_by_edge, traced_peak)
 
 # One tree per sweep, and every tree of a collection in one sweep.
 CAPS = [1, 2 ** 40]
@@ -728,10 +727,11 @@ def test_strip_levels_bounded_by_width(seed, monkeypatch):
 def test_contrast_on_shuffled_paths_scales_linearly(monkeypatch):
     # A path of n <= SLOT_CAP / 20 vertices takes the 20 trees in one
     # sweep of at most n levels, so doubling n doubles the work; a sweep
-    # width that fell with n would make the time grow as n^2.
-    seconds = []
-    for n in (10 ** 4, 2 * 10 ** 4):
-        g = shuffled_path(n)
+    # width that fell with n would make the time grow as n^2. The two
+    # sizes are timed interleaved, so a change in machine speed reaches
+    # both.
+    paths = [shuffled_path(n) for n in (10 ** 4, 2 * 10 ** 4)]
+    for g in paths:
         with monkeypatch.context() as patch:
             levels = count_levels(patch)
             sweeps = []
@@ -740,13 +740,9 @@ def test_contrast_on_shuffled_paths_scales_linearly(monkeypatch):
                           sweeps.append(seeds) or sweep(g, seeds))
             contrast(g, 20, 7)
         assert [len(seeds) for seeds in sweeps] == [20]
-        assert len(levels) <= n
-        best = math.inf
-        for _ in range(2):
-            start = time.perf_counter()
-            contrast(g, 20, 7)
-            best = min(best, time.perf_counter() - start)
-        seconds.append(best)
+        assert len(levels) <= g.n
+    seconds = interleaved_best([lambda g=g: contrast(g, 20, 7)
+                                for g in paths], 3)
     assert seconds[1] / seconds[0] <= 3.0
 
 
@@ -769,14 +765,14 @@ def test_reverse_map_made_at_the_first_bottom_up_level(monkeypatch):
 
 @pytest.mark.parametrize("make, bound_mib", [
     (lambda: strip_8x1250(0), 2.3),
-    (lambda: generate_scale_free(10 ** 4, 4, 1), 5.5),
+    (lambda: generate_scale_free(10 ** 4, 4, 1), 5.1),
     (lambda: shuffled_path(2 * 10 ** 4), 4.3),
 ], ids=["strip-8x1250", "sf-10^4", "path-2x10^4"])
 def test_contrast_peak_memory(make, bound_mib):
     # A sweep holds 8 bytes per slot, an int32 key and an int32 `via`,
     # and per-level temporaries bounded by LEVEL_CAP entries. The strip
-    # (W = 20, one sweep) reads 2.08 MiB, sf (W = 20, split into single
-    # trees at its first level wider than LEVEL_CAP) 5.01 MiB and the
+    # (W = 20, one sweep) reads 2.09 MiB, sf (W = 20, split into single
+    # trees at its first level wider than LEVEL_CAP) 4.60 MiB and the
     # 2*10^4 path (W = 20) 3.90 MiB.
     g = make()
     contrast(g, 1, 0)
