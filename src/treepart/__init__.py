@@ -12,8 +12,7 @@ from .bench import (ExperimentReport, RunRecord, config_label, emit_csv,
                     emit_table, geometric_mean, run_experiment, run_single)
 from .fundcut import all_fundamental_conductances
 from .generators import generate_scale_free
-from .graph import (Graph, check_connected, connected_components,
-                    largest_component)
+from .graph import Graph, check_connected
 from .mcv import comm_volumes, edge_cut, mcv, mcv_postprocess
 from .metis_io import (MetisFormatError, load_metis, parse_metis, save_metis,
                        serialize_metis, write_partition)
@@ -31,11 +30,10 @@ __all__ = [
     "PartitionConfig", "RATINGS", "RootedTree", "RunRecord",
     "algebraic_distance", "all_fundamental_conductances", "balance_cap",
     "check_connected", "comm_volumes", "cond_all_edges", "config_label",
-    "connected_components", "contract", "contrast", "compute_rating",
-    "edge_cut", "emit_csv", "emit_table", "ex_alg", "ex_cond",
-    "expansion_star2", "fm_refine", "generate_scale_free",
-    "geometric_mean", "greedy_matching", "initial_bipartition",
-    "is_balanced", "largest_component", "lca", "load_metis", "mcv",
+    "contract", "contrast", "compute_rating", "edge_cut", "emit_csv",
+    "emit_table", "ex_alg", "ex_cond", "expansion_star2", "fm_refine",
+    "generate_scale_free", "geometric_mean", "greedy_matching",
+    "initial_bipartition", "is_balanced", "lca", "load_metis", "mcv",
     "mcv_postprocess", "minimum_spanning_tree", "parse_metis",
     "partition_multilevel", "root_and_label", "run_experiment",
     "run_single", "sample_bft", "save_metis", "serialize_metis",

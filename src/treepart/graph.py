@@ -193,9 +193,9 @@ class Graph:
 
     @cached_property
     def is_connected(self) -> bool:
-        """True iff the graph has a single connected component."""
-        _, comp = _boruvka(self, np.arange(self.m))
-        return bool((comp == comp[0]).all())
+        """True iff the graph has a single connected component: its
+        Borůvka forest (see `_boruvka`) has n - 1 edges."""
+        return int(_boruvka(self, np.arange(self.m)).sum()) == self.n - 1
 
 
 def check_connected(g: Graph) -> bool:
@@ -203,14 +203,14 @@ def check_connected(g: Graph) -> bool:
     return g.is_connected
 
 
-def _boruvka(g: Graph, ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _boruvka(g: Graph, ranked: np.ndarray) -> np.ndarray:
     """Borůvka hooking with pointer jumping (Shiloach & Vishkin 1982).
 
     `ranked` lists the edge ids from least to greatest. Every round, each
     component takes its least outgoing edge, so the number of components at
-    least halves. Returns (taken, comp): taken[e] marks the minimum spanning
-    forest under that order, and comp[v] names v's component by one of its
-    vertices.
+    least halves. Returns `taken`: taken[e] marks the minimum spanning
+    forest under that order. A forest on n vertices with k components has
+    n - k edges, so the graph is connected exactly when n - 1 are taken.
     """
     ids = ranked  # live edges in order; a position is a rank
     eu, ev = g.edge_u[ids], g.edge_v[ids]
@@ -240,36 +240,5 @@ def _boruvka(g: Graph, ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         while (jumped != ptr).any():
             ptr, jumped = jumped, jumped[jumped]
         comp = ptr[comp]
-    return taken, comp
+    return taken
 
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, each in ascending id, and
-    the components ordered by their smallest vertex."""
-    _, comp = _boruvka(g, np.arange(g.m))
-    order = np.argsort(comp, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(comp[order])) + 1).tolist(), g.n]
-    verts = order.tolist()
-    # Disjoint lists compare by their first, i.e. smallest, vertex.
-    return sorted(verts[i:j] for i, j in zip(cuts, cuts[1:]))
-
-
-def largest_component(g: Graph) -> tuple[Graph, np.ndarray]:
-    """Extract the largest connected component as a new graph.
-
-    Returns the subgraph plus an array mapping its vertex ids back to the
-    original ids. Intended as preprocessing for inputs that are not connected.
-    """
-    comps = connected_components(g)
-    keep = max(comps, key=len)  # ties: the one with the least vertex
-    old_ids = np.asarray(keep, dtype=np.int64)
-    new_id = -np.ones(g.n, dtype=np.int64)
-    new_id[old_ids] = np.arange(len(keep))
-    mask = new_id[g.edge_u] >= 0
-    sub = Graph.from_edges(
-        len(keep),
-        np.column_stack((new_id[g.edge_u[mask]], new_id[g.edge_v[mask]])),
-        edge_weights=g.edge_w[mask],
-        vertex_weights=g.vertex_c[old_ids],
-    )
-    return sub, old_ids

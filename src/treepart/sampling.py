@@ -208,51 +208,6 @@ def _sweep(g: Graph, seeds: Sequence[int]):
         roots[t] = rng.integers(n)
         if n > 1:
             keys[t * n:(t + 1) * n] = rng.permutation(n)
-    group = max(1, LEVEL_CAP // max(two_m, 1))
-    rev = None
-
-    def grow(via, key, f_slot, unseen):
-        """Run the levels of the trees whose slots `via` and `key` hold,
-        from the frontier `f_slot`; `unseen` counts the entries of its
-        slots and of the unseen ones."""
-        nonlocal rev
-        k = via.size // n
-        rank = None
-        while f_slot.size:
-            f_vert = f_slot % n
-            counts = deg[f_vert]
-            ends = counts.cumsum()
-            fdeg = int(ends[-1])
-            unseen -= fdeg
-            if not unseen:
-                return
-            up = _bottom_up(fdeg, unseen, k * n)
-            if k > group and (fdeg > LEVEL_CAP or up and k * n > LEVEL_CAP):
-                # The frontier is grouped by tree in tree order, so
-                # f_slot >= lo * n from one position on, and a binary
-                # search finds each group's part. The level's arrays go
-                # before the groups run.
-                del f_vert, counts, ends
-                for lo in range(0, k, group):
-                    a, b = f_slot.searchsorted([lo * n, (lo + group) * n])
-                    part = via[lo * n:(lo + group) * n]
-                    front = f_slot[a:b] - lo * n
-                    left = (deg[(part == _UNSEEN).nonzero()[0] % n].sum()
-                            + deg[front % n].sum())
-                    grow(part, key[lo * n:(lo + group) * n], front,
-                         int(left))
-                return
-            if not up:
-                f_slot = _top_down(g, via, key, f_slot, f_vert, counts,
-                                   ends, fdeg)
-                continue
-            if rev is None:
-                rev = _reverse_entries(g)
-            if rank is None:
-                rank = np.full(k * n, _UNSEEN, dtype=np.int32)
-            rank[f_slot] = np.arange(f_slot.size)
-            f_slot = _bottom_up_level(g, via, key, rank, rev)
-
     # Slot t*n + v is vertex v of tree t. `via` holds _UNSEEN until the
     # slot's level, then on a top-down level the position of its first
     # candidate entry, and from then on -2 - the entry that claimed it, or
@@ -261,11 +216,50 @@ def _sweep(g: Graph, seeds: Sequence[int]):
     via = np.full(w * n, _UNSEEN, dtype=np.int32)
     f_slot = np.arange(w, dtype=np.int64) * n + roots
     via[f_slot] = -1
-    grow(via, keys, f_slot, w * two_m)
-    # grow's closure holds grow: clearing the name breaks that cycle, so g
-    # and `rev` are freed as soon as the caller drops them, not at the
-    # next cyclic collection.
-    del grow
+    group = max(1, LEVEL_CAP // max(two_m, 1))
+    rev = None
+    # Each item is a group of trees still to grow: its views of `via` and
+    # the keys, its frontier, and the entries of its frontier and unseen
+    # slots.
+    work = [(via, keys, f_slot, w * two_m)]
+    while work:
+        part, key, f_slot, unseen = work.pop()
+        k = part.size // n
+        rank = None
+        while f_slot.size:
+            f_vert = f_slot % n
+            counts = deg[f_vert]
+            ends = counts.cumsum()
+            fdeg = int(ends[-1])
+            unseen -= fdeg
+            if not unseen:
+                break
+            up = _bottom_up(fdeg, unseen, k * n)
+            if k > group and (fdeg > LEVEL_CAP or up and k * n > LEVEL_CAP):
+                # The frontier is grouped by tree in tree order, so
+                # f_slot >= lo * n from one position on, and a binary
+                # search finds each group's part. The level's arrays go
+                # before the groups are made.
+                del f_vert, counts, ends
+                for lo in range(0, k, group):
+                    a, b = f_slot.searchsorted([lo * n, (lo + group) * n])
+                    sub = part[lo * n:(lo + group) * n]
+                    front = f_slot[a:b] - lo * n
+                    left = (deg[(sub == _UNSEEN).nonzero()[0] % n].sum()
+                            + deg[front % n].sum())
+                    work.append((sub, key[lo * n:(lo + group) * n], front,
+                                 int(left)))
+                break
+            if not up:
+                f_slot = _top_down(g, part, key, f_slot, f_vert, counts,
+                                   ends, fdeg)
+                continue
+            if rev is None:
+                rev = _reverse_entries(g)
+            if rank is None:
+                rank = np.full(k * n, _UNSEEN, dtype=np.int32)
+            rank[f_slot] = np.arange(f_slot.size)
+            f_slot = _bottom_up_level(g, part, key, rank, rev)
     if (via == _UNSEEN).any():
         raise ValueError("graph is not connected")
     # Decode in place: a copy would raise the sweep's peak memory.

@@ -47,8 +47,7 @@ def minimum_spanning_tree(g: Graph, values: Sequence[float]) -> np.ndarray:
     vals = _float_array(values, "values", g.m)
     if not np.all(np.isfinite(vals)):
         raise ValueError("edge values must be finite")
-    taken, _ = _boruvka(g, np.argsort(vals, kind="stable"))
-    tree = np.flatnonzero(taken)
+    tree = np.flatnonzero(_boruvka(g, np.argsort(vals, kind="stable")))
     if len(tree) != g.n - 1:
         raise ValueError("graph is not connected")
     return tree

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treepart import (Graph, check_connected, connected_components,
-                      generate_scale_free, largest_component)
+from treepart import Graph, check_connected, generate_scale_free
 from treepart import graph as graph_module
 from tests.conftest import (cut_corpus, random_connected_graph,
                             union_find_components, volume)
@@ -197,38 +196,20 @@ class TestConnectivity:
         assert check_connected(Graph.from_edges(2, [(0, 1)]))
         assert len(calls) == 2
 
-    def test_largest_component_extraction(self):
-        g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)],
-                             edge_weights=[2, 3, 4],
-                             vertex_weights=[1, 2, 3, 4, 5, 6])
-        sub, old = largest_component(g)
-        assert check_connected(sub)
-        assert sub.n == 3
-        assert list(old) == [0, 1, 2]
-        assert list(sub.vertex_c) == [1, 2, 3]
-        assert sorted(sub.edge_w) == [2, 3]
 
-
-def assert_components_match_oracle(g):
-    """Borůvka's components equal union-find's: the same vertex sets, each
-    in ascending id, ordered by their smallest vertex; and largest_component
-    returns the induced subgraph of the largest, on ties the one with the
-    least vertex."""
-    comps = connected_components(g)
-    assert comps == union_find_components(g)
-    assert all(c == sorted(c) for c in comps)
-    assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+def assert_forest_rule(g):
+    """check_connected(g) holds exactly when union-find finds one
+    component, and Borůvka's forest has n - (union-find's component count)
+    edges and the same components. Returns that count."""
+    comps = union_find_components(g)
     assert check_connected(g) == (len(comps) == 1)
-
-    keep = min(comps, key=lambda c: (-len(c), c[0]))
-    sub, old = largest_component(g)
-    assert old.dtype == np.int64 and old.tolist() == keep
-    assert sub.vertex_c.tolist() == g.vertex_c[old].tolist()
-    inside = np.isin(g.edge_u, old) & np.isin(g.edge_v, old)
-    assert old[sub.edge_u].tolist() == g.edge_u[inside].tolist()
-    assert old[sub.edge_v].tolist() == g.edge_v[inside].tolist()
-    assert sub.edge_w.tolist() == g.edge_w[inside].tolist()
-    return comps
+    taken = graph_module._boruvka(g, np.arange(g.m))
+    assert taken.dtype == bool and taken.shape == (g.m,)
+    assert int(taken.sum()) == g.n - len(comps)
+    forest = Graph.from_edges(g.n, np.column_stack((g.edge_u[taken],
+                                                    g.edge_v[taken])))
+    assert union_find_components(forest) == comps
+    return len(comps)
 
 
 def relabelled_union(parts, rng):
@@ -260,7 +241,7 @@ class TestComponentsMatchUnionFind:
         rng = random.Random(41)
         for _ in range(200):
             g = random_connected_graph(rng, n_lo=1, n_hi=30)
-            assert assert_components_match_oracle(g) == [list(range(g.n))]
+            assert assert_forest_rule(g) == 1
 
     def test_disjoint_unions(self):
         rng = random.Random(42)
@@ -268,48 +249,41 @@ class TestComponentsMatchUnionFind:
             parts = [random_connected_graph(rng, n_lo=1, n_hi=10)
                      for _ in range(rng.randint(2, 5))]
             g = relabelled_union(parts, rng)
-            assert len(assert_components_match_oracle(g)) == len(parts)
+            assert assert_forest_rule(g) == len(parts)
 
     def test_forests(self):
         rng = random.Random(43)
         for n in (2, 5, 20, 100, 2000):
             for _ in range(5):
-                assert_components_match_oracle(random_forest(n, rng))
+                assert_forest_rule(random_forest(n, rng))
 
     def test_edgeless_graphs(self):
         for n in (1, 2, 5, 1000):
             g = Graph.from_edges(n, [])
-            assert assert_components_match_oracle(g) == [[v] for v in range(n)]
+            assert assert_forest_rule(g) == n
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_every_graph_on_up_to_three_vertices(self, n):
         pairs = list(itertools.combinations(range(n), 2))
         for k in range(len(pairs) + 1):
             for edges in itertools.combinations(pairs, k):
-                assert_components_match_oracle(Graph.from_edges(n, edges))
+                assert_forest_rule(Graph.from_edges(n, edges))
 
     @pytest.mark.parametrize("name", ["path", "star", "caterpillar"])
     def test_tree_families_with_chords(self, name):
         rng = random.Random(44)
         for n in (4, 50, 3000):
             g = family_graph(name, n, rng)
-            assert len(assert_components_match_oracle(g)) == 1
+            assert assert_forest_rule(g) == 1
             two = relabelled_union([g, family_graph(name, n, rng)], rng)
-            assert len(assert_components_match_oracle(two)) == 2
+            assert assert_forest_rule(two) == 2
 
     def test_strips(self):
         rng = random.Random(45)
         for k in (1, 7, 150):
             for g in (strip(k), strip(k, rng),
                       relabelled_union([strip(k), strip(k + 1)], rng)):
-                assert_components_match_oracle(g)
-
-    def test_largest_component_tie_takes_least_vertex(self):
-        # {0, 4, 5} and {1, 2, 3} tie; the lighter one holds vertex 0.
-        g = Graph.from_edges(6, [(1, 2), (2, 3), (0, 5), (4, 5)],
-                             vertex_weights=[1, 9, 9, 9, 1, 1])
-        assert assert_components_match_oracle(g) == [[0, 4, 5], [1, 2, 3]]
-        assert largest_component(g)[1].tolist() == [0, 4, 5]
+                assert_forest_rule(g)
 
 
 @st.composite
@@ -335,4 +309,4 @@ def multi_component_graphs(draw):
 @given(multi_component_graphs())
 def test_components_match_union_find_property(case):
     g, k = case
-    assert len(assert_components_match_oracle(g)) == k
+    assert assert_forest_rule(g) == k

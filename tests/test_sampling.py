@@ -639,14 +639,17 @@ def test_sampling_caches_nothing_on_the_graph():
     assert all(vars(g)[k] is v for k, v in before.items())
 
 
-def test_contrast_leaves_no_cycle_holding_the_graph(refcount_only):
+def test_contrast_leaves_no_cycle_holding_the_graph(refcount_only,
+                                                    monkeypatch):
     # Once contrast returns, reference counting alone frees the graph and
-    # the sweep's reverse map.
-    g = generate_scale_free(3000, 4, 9)
-    ref = weakref.ref(g)
-    contrast(g, 20, 7)
-    del g
-    assert ref() is None
+    # the sweep's reverse map, also when the sweep splits into groups.
+    for cap in LEVEL_CAPS:
+        monkeypatch.setattr(sampling, "LEVEL_CAP", cap)
+        g = generate_scale_free(3000, 4, 9)
+        ref = weakref.ref(g)
+        contrast(g, 20, 7)
+        del g
+        assert ref() is None, cap
 
 
 def test_reverse_entries():

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from treepart import (Graph, lca, minimum_spanning_tree, root_and_label,
                       sample_bft)
 from treepart.spantree import tree_paths
-from tests.conftest import (cut_corpus, kruskal_mst, naive_lca,
-                            random_connected_graph, tadj_root_and_label)
+from tests.conftest import (cut_corpus, interleaved_best, kruskal_mst,
+                            naive_lca, random_connected_graph,
+                            tadj_root_and_label)
 from tests.test_fundcut import family
 
 
@@ -243,6 +244,27 @@ class TestAgainstOracles:
         for mst in (minimum_spanning_tree, kruskal_mst):
             with pytest.raises(ValueError, match="^graph is not connected$"):
                 mst(g, values)
+
+
+@pytest.mark.parametrize("name", ["path", "star", "caterpillar"])
+def test_boruvka_scales_linearly(name):
+    # Every Borůvka round at least halves the components, so doubling n
+    # should about double the time of the MST and of the connectivity
+    # check (2.1 for n log n); quadratic work would read 4. The two sizes
+    # are timed interleaved, so a shift in machine speed reaches both.
+    rng = random.Random(name)
+    graphs = [family_graph(name, n, rng) for n in (5 * 10 ** 4, 10 ** 5)]
+    values = [np.random.default_rng(g.n).random(g.m) for g in graphs]
+
+    def connected(g):
+        vars(g).pop("is_connected", None)  # drop the cached answer
+        assert g.is_connected
+
+    mst = interleaved_best([lambda g=g, v=v: minimum_spanning_tree(g, v)
+                            for g, v in zip(graphs, values)], 9)
+    conn = interleaved_best([lambda g=g: connected(g) for g in graphs], 9)
+    assert mst[1] / mst[0] <= 3.0, mst
+    assert conn[1] / conn[0] <= 3.0, conn
 
 
 @st.composite
