@@ -16,7 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .graph import Graph, _int_scalar, check_connected
+from .graph import Graph, _int_scalar
 from .mcv import MCV_ROUNDS, edge_cut, mcv, mcv_postprocess
 from .metis_io import load_metis
 from .multilevel import PartitionConfig, partition_multilevel
@@ -70,13 +70,14 @@ def geometric_mean(values) -> float:
 
 
 def run_single(g: Graph, cfg: PartitionConfig, seed: int, *,
-               postprocess: bool = True, mcv_rounds: int = MCV_ROUNDS
+               mcv_rounds: int = MCV_ROUNDS
                ) -> tuple[int, float, float, list[int]]:
-    """One seeded run: returns (mcv, cut before postprocessing, seconds, blocks)."""
+    """One seeded run: returns (mcv, cut before postprocessing, seconds,
+    blocks). MCV postprocessing runs only when mcv_rounds > 0."""
     t0 = time.perf_counter()
     p = partition_multilevel(g, replace(cfg, seed=seed))
     cut = edge_cut(g, p)
-    if postprocess:
+    if mcv_rounds > 0:
         p = mcv_postprocess(g, p, rounds=mcv_rounds, epsilon=cfg.epsilon,
                             seed=seed)
     elapsed = time.perf_counter() - t0
@@ -84,19 +85,25 @@ def run_single(g: Graph, cfg: PartitionConfig, seed: int, *,
 
 
 def _run_job(args):
-    (g, name, cfg, runs, base_seed, postprocess, mcv_rounds) = args
+    """All runs of one (graph, config) cell: (name, label, records, best
+    blocks, None), or (name, label, None, None, message) when a run raises
+    ValueError, so a pool worker returns the fault instead of raising it."""
+    (g, name, cfg, runs, base_seed, mcv_rounds) = args
     label = config_label(cfg)
     records = []
     best = None
-    for r in range(runs):
-        seed = base_seed + r
-        mcv_val, cut, secs, blocks = run_single(
-            g, cfg, seed, postprocess=postprocess, mcv_rounds=mcv_rounds)
-        records.append(RunRecord(name, label, r, seed, mcv_val, cut, secs))
-        key = (mcv_val, cut, r)
-        if best is None or key < best[0]:
-            best = (key, blocks)
-    return name, label, records, best[1]
+    try:
+        for r in range(runs):
+            seed = base_seed + r
+            mcv_val, cut, secs, blocks = run_single(
+                g, cfg, seed, mcv_rounds=mcv_rounds)
+            records.append(RunRecord(name, label, r, seed, mcv_val, cut, secs))
+            key = (mcv_val, cut, r)
+            if best is None or key < best[0]:
+                best = (key, blocks)
+    except ValueError as exc:
+        return name, label, None, None, str(exc)
+    return name, label, records, best[1], None
 
 
 def _reject_duplicates(what: str, names: list[str]) -> None:
@@ -106,17 +113,23 @@ def _reject_duplicates(what: str, names: list[str]) -> None:
 
 
 def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
-                   postprocess: bool = True, mcv_rounds: int = MCV_ROUNDS,
+                   mcv_rounds: int = MCV_ROUNDS,
                    jobs: int = 1) -> ExperimentReport:
     """Run the full (graph x config) grid.
 
-    Each graph is parsed once and held until the grid ends; graphs that
-    fail to parse or are disconnected are skipped and reported under
-    `errors`. Two paths with the same name (file name without `.graph`)
-    are rejected, and so are two configs with the same `config_label`,
-    since rows and quotients are keyed by it. The first config is the
-    reference for quotients. Raises ValueError unless runs and jobs are
-    integers >= 1 and mcv_rounds one >= 0.
+    Each graph is parsed once and held until the grid ends. A graph that
+    fails to load is skipped, and a (graph, config) cell whose runs raise
+    ValueError (a disconnected graph, or vertex weights that no bisection
+    within the balance cap fits when postprocessing is on) gets no stats
+    row and no best blocks; the other cells still run. Both are reported
+    under `errors`, load errors first in path order, then cell errors as
+    (graph name, "<config label>: <message>") in (graph, config) order.
+    MCV postprocessing runs only when mcv_rounds > 0. Two paths with the
+    same name (file name without `.graph`) are rejected, and so are two
+    configs with the same `config_label`, since rows and quotients are
+    keyed by it. The first config is the reference for quotients. Raises
+    ValueError unless runs and jobs are integers >= 1 and mcv_rounds one
+    >= 0.
     """
     runs = _int_scalar(runs, "runs", 1)
     if not configs:
@@ -131,16 +144,12 @@ def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
     errors: list[tuple[str, str]] = []
     for path, name in zip(graph_paths, names):
         try:
-            g = load_metis(path)
-            if not check_connected(g):
-                raise ValueError("graph is not connected")
+            usable.append((load_metis(path), name))
         except (OSError, ValueError) as exc:
             errors.append((name, str(exc)))
-            continue
-        usable.append((g, name))
 
     # Both paths return results in jobs_args order: (graph, config) order.
-    jobs_args = [(g, name, cfg, runs, base_seed, postprocess, mcv_rounds)
+    jobs_args = [(g, name, cfg, runs, base_seed, mcv_rounds)
                  for g, name in usable for cfg in configs]
     if jobs > 1 and len(jobs_args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -151,7 +160,10 @@ def run_experiment(graph_paths, configs, runs: int, base_seed: int, *,
     records: list[RunRecord] = []
     stats: list[ConfigStats] = []
     best_blocks: dict[tuple[str, str], list[int]] = {}
-    for name, label, recs, blocks in results:
+    for name, label, recs, blocks, fault in results:
+        if fault is not None:
+            errors.append((name, f"{label}: {fault}"))
+            continue
         records.extend(recs)
         mcvs = [r.mcv for r in recs]
         cuts = [r.cut for r in recs]

@@ -28,10 +28,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=50,
                    help="seeded runs per graph and config")
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--mcv-rounds", type=int, default=MCV_ROUNDS,
-                   help="postprocessing rounds")
-    p.add_argument("--no-postprocessing", action="store_true",
-                   help="skip MCV postprocessing")
+    post = p.add_mutually_exclusive_group()
+    post.add_argument("--mcv-rounds", type=int, default=MCV_ROUNDS,
+                      help="postprocessing rounds; 0 skips postprocessing")
+    post.add_argument("--no-postprocessing", action="store_const", const=0,
+                      dest="mcv_rounds", help="same as --mcv-rounds 0")
     p.add_argument("--coarsest-size", type=int,
                    default=PartitionConfig.coarsest_size,
                    help="stop coarsening at this many vertices")
@@ -55,7 +56,6 @@ def main(argv=None) -> int:
                    for r in ratings]
         report = run_experiment(
             args.graph, configs, args.runs, args.seed,
-            postprocess=not args.no_postprocessing,
             mcv_rounds=args.mcv_rounds, jobs=args.jobs)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

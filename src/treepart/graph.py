@@ -169,11 +169,6 @@ class Graph:
         return self.adj_nbr.tolist()
 
     @cached_property
-    def adj_w_list(self) -> list[float]:
-        """Edge weight per CSR adjacency entry."""
-        return self.edge_w[self.adj_eid].tolist()
-
-    @cached_property
     def csr_src(self) -> np.ndarray:
         """Source vertex of each CSR adjacency entry."""
         counts = self.adj_off[1:] - self.adj_off[:-1]

@@ -215,7 +215,7 @@ def fm_refine(g: Graph, p: Partition, epsilon: float) -> Partition:
     blk = np.frombuffer(block, dtype=np.uint8)
     off = g.adj_off_list
     nbr = g.adj_nbr_list
-    w = g.adj_w_list
+    w = g.edge_w[g.adj_eid].tolist()
     c = g.vertex_c.tolist()
     wdeg = g.weighted_degree.tolist()
     heappop = heapq.heappop

@@ -160,14 +160,15 @@ def _top_down(g: Graph, via: np.ndarray, key: np.ndarray,
                   claimed)
 
 
-def _bottom_up_level(g: Graph, via: np.ndarray, key: np.ndarray,
-                     rank: np.ndarray, rev: np.ndarray) -> np.ndarray:
+def _bottom_up_level(g: Graph, deg: np.ndarray, via: np.ndarray,
+                     key: np.ndarray, rank: np.ndarray,
+                     rev: np.ndarray) -> np.ndarray:
     """Have each unseen slot v scan its own entries v -> u for the frontier
     neighbor u of least frontier position `rank`; the claimed entry u -> v
     is the reverse of the scanned one. The other neighbors of v are
     unseen: one in an earlier frontier would have claimed it. Returns the
     next frontier."""
-    n, deg = g.n, np.diff(g.adj_off)
+    n = g.n
     slot = (via == _UNSEEN).nonzero()[0]
     vert = slot % n
     counts = deg[vert]
@@ -259,7 +260,7 @@ def _sweep(g: Graph, seeds: Sequence[int]):
             if rank is None:
                 rank = np.full(k * n, _UNSEEN, dtype=np.int32)
             rank[f_slot] = np.arange(f_slot.size)
-            f_slot = _bottom_up_level(g, part, key, rank, rev)
+            f_slot = _bottom_up_level(g, deg, part, key, rank, rev)
     if (via == _UNSEEN).any():
         raise ValueError("graph is not connected")
     # Decode in place: a copy would raise the sweep's peak memory.

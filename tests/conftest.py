@@ -300,7 +300,7 @@ def scalar_fm_refine(g: Graph, p: Partition, epsilon: float,
     bw = block_weights(g, block)
     off = g.adj_off_list
     nbr = g.adj_nbr_list
-    w = g.adj_w_list
+    w = g.edge_w[g.adj_eid].tolist()
     c = g.vertex_c.tolist()
     wdeg = g.weighted_degree.tolist()
 
@@ -398,7 +398,7 @@ def scalar_algebraic_distance(g: Graph, seed: int) -> np.ndarray:
     x = np.random.default_rng(seed).random((g.n, 8)).tolist()
     off = g.adj_off_list
     nbr = g.adj_nbr_list
-    w = g.adj_w_list
+    w = g.edge_w[g.adj_eid].tolist()
     for _ in range(10):
         new = []
         for v in range(g.n):

@@ -132,3 +132,51 @@ def test_parallel_jobs_match_serial(tmp_path):
     configs = [PartitionConfig(rating="excond", trees=6, coarsest_size=30)]
     parallel = run_experiment([str(g0), str(g1)], configs, 2, 5, jobs=2)
     assert emit_csv(serial, timing=False) == emit_csv(parallel, timing=False)
+
+
+HEAVY = "3 2 10\n100 2\n1 1 3\n1 2\n"  # vertex 0 outweighs the balance cap
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_cell_reported_while_others_finish(tmp_path, jobs):
+    heavy = tmp_path / "heavy.graph"
+    heavy.write_text(HEAVY)
+    fine = tmp_path / "fine.graph"
+    save_metis(generate_scale_free(120, 3, 100), fine)
+    cfg = PartitionConfig(trees=6, coarsest_size=30)
+    report = run_experiment([str(heavy), str(fine)], [cfg], 2, 5, jobs=jobs)
+    assert [(s.graph, s.config) for s in report.stats] == [("fine", "excond6")]
+    assert list(report.best_blocks) == [("fine", "excond6")]
+    assert {r.graph for r in report.records} == {"fine"}
+    assert report.errors == [
+        ("heavy", "excond6: input partition violates the balance constraint")]
+    assert emit_csv(report, timing=False) == emit_csv(
+        run_experiment([str(fine)], [cfg], 2, 5), timing=False)
+    # Without postprocessing nothing checks the balance, so the heavy
+    # graph gets its row.
+    report = run_experiment([str(heavy), str(fine)], [cfg], 2, 5,
+                            mcv_rounds=0, jobs=jobs)
+    assert [s.graph for s in report.stats] == ["heavy", "fine"]
+    assert report.errors == []
+
+
+def test_errors_list_load_faults_then_cells_in_grid_order(tmp_path):
+    paths = []
+    for name, text in (("h1", HEAVY), ("bad", "3 2\n2\n1 3\n1\n"),
+                       ("h2", HEAVY), ("split", "4 2\n2\n1\n4\n3\n")):
+        paths.append(tmp_path / f"{name}.graph")
+        paths[-1].write_text(text)
+    paths.insert(2, tmp_path / "missing.graph")
+    configs = [PartitionConfig(rating="exp2"), PartitionConfig(trees=4)]
+    report = run_experiment([str(p) for p in paths], configs, 1, 0)
+    assert not report.stats and not report.best_blocks
+    assert [name for name, _ in report.errors[:2]] == ["bad", "missing"]
+    assert "asymmetric" in report.errors[0][1]
+    assert "No such file" in report.errors[1][1]
+    assert report.errors[2:] == [
+        (name, f"{label}: {message}")
+        for name, message in (
+            ("h1", "input partition violates the balance constraint"),
+            ("h2", "input partition violates the balance constraint"),
+            ("split", "input graph must be connected"))
+        for label in ("exp2", "excond4")]

@@ -1,4 +1,6 @@
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -150,3 +152,49 @@ def test_degenerate_config_fails(tmp_path, capsys, flags, message):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {message}")
     assert captured.out == ""
+
+
+def test_no_postprocessing_is_mcv_rounds_zero(tmp_path):
+    path = write_graph(tmp_path)
+    args = ["--graph", path, "--runs", "2", "--trees", "5", "--seed", "9",
+            "--coarsest-size", "25", "--no-timing"]
+    skip, zero = tmp_path / "skip.csv", tmp_path / "zero.csv"
+    assert main(args + ["--no-postprocessing", "--output", str(skip)]) == 0
+    assert main(args + ["--mcv-rounds", "0", "--output", str(zero)]) == 0
+    assert skip.read_bytes() == zero.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["--graph", path, "--no-postprocessing",
+                                   "--mcv-rounds", "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failing_cell_does_not_abort_the_grid(tmp_path, capsys, jobs):
+    heavy = tmp_path / "heavy.graph"
+    heavy.write_text("3 2 10\n100 2\n1 1 3\n1 2\n")  # vertex 0 tops the cap
+    fine = write_graph(tmp_path, name="fine.graph")
+    args = ["--graph", str(heavy), "--graph", fine, "--runs", "2",
+            "--trees", "5", "--coarsest-size", "25", "--jobs", jobs]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    rows = [line.split()[:2] for line in captured.out.splitlines()[2:]]
+    assert rows == [["fine", "excond5"], ["GEOMEAN", "excond5"],
+                    ["heavy", "ERROR:"]]
+    assert "error: heavy: excond5: input partition violates the balance " \
+           "constraint" in captured.err
+    # --mcv-rounds 0 skips the balance check of postprocessing, as
+    # --no-postprocessing does.
+    for flag in (["--mcv-rounds", "0"], ["--no-postprocessing"]):
+        assert main(args + flag) == 0
+        rows = [line.split()[0]
+                for line in capsys.readouterr().out.splitlines()[2:]]
+        assert rows == ["heavy", "fine", "GEOMEAN"]
+
+
+def test_readme_cli_section_matches_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    options = {opt for action in build_parser()._actions
+               for opt in action.option_strings if opt.startswith("--")}
+    assert documented == options - {"--help"}

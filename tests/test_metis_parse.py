@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from treepart import (Graph, MetisFormatError, balance_cap, parse_metis,
                       serialize_metis)
-from tests.conftest import (cut_corpus, random_connected_graph,
-                            scalar_parse_metis)
+from tests.conftest import (cut_corpus, interleaved_best,
+                            random_connected_graph, scalar_parse_metis)
+from tests.test_spantree import family_graph
 
 
 def same_graph(a: Graph, b: Graph) -> bool:
@@ -370,3 +371,16 @@ def test_parse_serialize_round_trip_property(g):
     text = serialize_metis(g)
     assert same_graph(parse_metis(text), g)
     assert same_graph(scalar_parse_metis(text), g)
+
+
+@pytest.mark.parametrize("name", ["path", "star", "caterpillar"])
+def test_parse_metis_scales_linearly(name):
+    # The reader does a constant amount of array work per token, so
+    # doubling n should about double its time; quadratic work would read
+    # 4. The two sizes are timed interleaved, so a shift in machine speed
+    # reaches both.
+    rng = random.Random(name)
+    texts = [serialize_metis(family_graph(name, n, rng))
+             for n in (5 * 10 ** 4, 10 ** 5)]
+    best = interleaved_best([lambda t=t: parse_metis(t) for t in texts], 5)
+    assert best[1] / best[0] <= 3.0, best

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from treepart import (RATINGS, Graph, Partition, PartitionConfig,
                       balance_cap, contract, edge_cut, fm_refine,
                       generate_scale_free, greedy_matching,
-                      initial_bipartition, is_balanced, partition_multilevel)
+                      initial_bipartition, is_balanced, mcv_postprocess,
+                      partition_multilevel)
 from treepart import multilevel
 from tests.conftest import (MALFORMED_PARTITIONS, block_weights, chorded_c6,
                             edge_id, neighbors, random_balanced_blocks,
@@ -420,3 +421,18 @@ def test_epsilon_zero_gives_exact_halves_on_unit_weights(case):
     p = partition_multilevel(g, cfg)
     assert sorted(block_weights(g, p.block)) == [g.n // 2, (g.n + 1) // 2]
     assert is_balanced(g, p, 0.0)
+
+
+def test_pipeline_caches_only_reread_state_on_the_graph():
+    # The caller's graph keeps only what two stages reread: the adjacency
+    # lists (FM and postprocessing), the weighted degrees, the entry
+    # sources, the volume and the connectivity answer. A list that one
+    # call reads once, such as FM's per-entry weights, is built locally.
+    g = generate_scale_free(3000, 4, 1)
+    fields = set(vars(g))
+    cfg = PartitionConfig(seed=3)
+    mcv_postprocess(g, partition_multilevel(g, cfg), epsilon=cfg.epsilon,
+                    seed=3)
+    assert set(vars(g)) - fields <= {
+        "adj_off_list", "adj_nbr_list", "weighted_degree", "csr_src",
+        "total_volume", "is_connected"}
