@@ -66,7 +66,7 @@ def main(argv=None) -> int:
         with open(args.output, "w") as f:
             f.write(emit_csv(report, timing=not args.no_timing))
     if args.partition_out:
-        single = len(report.best_blocks) == 1
+        single = len(args.graph) * len(configs) == 1
         for (graph, label), blocks in report.best_blocks.items():
             path = (args.partition_out if single
                     else f"{args.partition_out}.{graph}.{label}")

@@ -49,12 +49,16 @@ def edge_cut(g: Graph, p: Partition) -> float:
 def _visit_order(rng: random.Random, k: int) -> list[int]:
     """A seeded permutation of range(k): one 64-bit key per index, drawn in
     one batch from rng, the index written into its low bits so the keys
-    are distinct, the indices listed in ascending key order."""
-    keys = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"),
-                         dtype="<u8")
+    are distinct. The keys are sorted in place and the indices read back
+    from their low bits, which lists them in ascending key order."""
     low = k.bit_length()
-    keys = keys >> low << low | np.arange(k, dtype=np.uint64)
-    return keys.argsort().tolist()
+    keys = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"),
+                         dtype="<u8") >> low
+    keys <<= low
+    keys |= np.arange(k, dtype=np.uint64)
+    keys.sort()
+    keys &= (1 << low) - 1
+    return keys.tolist()
 
 
 def mcv_postprocess(g: Graph, p: Partition, rounds: int = MCV_ROUNDS,
@@ -78,7 +82,12 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = MCV_ROUNDS,
     degree 1, which turn internal if u joins them; all three are set up
     with bincounts over the adjacency entries. Moving v changes the volume
     of its block by bb[v] - 1 and that of the other block by
-    [deg(v) > ext[v]] - bi[v].
+    [deg(v) > ext[v]] - bi[v]. So with top = max(vols), the move of v from
+    block b keeps MCV <= top iff bb[v] <= room[b] = top - vols[b] + 1 and
+    bi[v] - [deg(v) > ext[v]] >= need[b] = vols[1 - b] - top. Both
+    thresholds are kept per block and reset after each accepted move, and
+    they are tested before the rarer rejections: a vertex no longer on the
+    boundary, and a move that breaks balance or empties a block.
 
     An accepted move of v passes once over N(v), updating the external
     degrees and v's part in its neighbours' counters and recounting bb[v]
@@ -122,6 +131,8 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = MCV_ROUNDS,
     c = g.vertex_c.tolist()
     rng = random.Random(seed)
     top = max(vols)
+    room = [top - vols[0] + 1, top - vols[1] + 1]
+    need = [vols[1] - top, vols[0] - top]
 
     executed = 0
     max_touches = 0
@@ -134,32 +145,31 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = MCV_ROUNDS,
         accepted = 0
         for i in _visit_order(rng, len(boundary)):
             v = boundary[i]
-            ev = ext[v]
-            if not ev:
-                continue
             b = block[v]
+            if bb[v] > room[b]:
+                continue
+            ev = ext[v]
+            same = deg[v] - ev
+            if bi[v] - (same > 0) < need[b] or not ev:
+                continue
             o = 1 - b
             if bw[o] + c[v] > cap or bw[b] == c[v]:
-                continue
-            same = deg[v] - ev
-            new_b = vols[b] + bb[v] - 1
-            new_o = vols[o] - bi[v] + (1 if same else 0)
-            if new_b > top or new_o > top:
                 continue
             block[v] = o
             bw[b] -= c[v]
             bw[o] += c[v]
-            vols[b] = new_b
-            vols[o] = new_o
+            vols[b] += bb[v] - 1
+            vols[o] += (same > 0) - bi[v]
             top = max(vols)
+            room = [top - vols[0] + 1, top - vols[1] + 1]
+            need = [vols[1] - top, vols[0] - top]
             ext[v] = same
             lo, hi = off[v], off[v + 1]
             touches += hi - lo
             # bb[v] and bi[v] are recounted into these, which overwrite
             # what the class changes of v's neighbours add to them.
             bbv = biv = 0
-            for i in range(lo, hi):
-                t = nbr[i]
+            for t in nbr[lo:hi]:
                 e = ext[t]
                 if block[t] == b:  # t lost v from its block
                     ext[t] = e + 1
@@ -167,13 +177,12 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = MCV_ROUNDS,
                         # t leaves bb of its neighbours and joins bi[v]
                         biv += 1
                         touches += deg[t]
-                        for j in range(off[t], off[t + 1]):
-                            bb[nbr[j]] -= 1
+                        for x in nbr[off[t]:off[t + 1]]:
+                            bb[x] -= 1
                     elif e == 1:
                         # t leaves bi of its old external neighbour
                         touches += deg[t]
-                        for j in range(off[t], off[t + 1]):
-                            x = nbr[j]
+                        for x in nbr[off[t]:off[t + 1]]:
                             if block[x] != b and x != v:
                                 bi[x] -= 1
                                 break
@@ -185,13 +194,12 @@ def mcv_postprocess(g: Graph, p: Partition, rounds: int = MCV_ROUNDS,
                         # t joins bb of its neighbours and of v
                         bbv += 1
                         touches += deg[t]
-                        for j in range(off[t], off[t + 1]):
-                            bb[nbr[j]] += 1
+                        for x in nbr[off[t]:off[t + 1]]:
+                            bb[x] += 1
                     elif e == 2:
                         # t joins bi of its last external neighbour
                         touches += deg[t]
-                        for j in range(off[t], off[t + 1]):
-                            x = nbr[j]
+                        for x in nbr[off[t]:off[t + 1]]:
                             if block[x] != o:
                                 bi[x] += 1
                                 break

@@ -84,13 +84,13 @@ def greedy_matching(g: Graph, rating: np.ndarray,
     vals = _float_array(rating, "rating", g.m)
     if not np.all(np.isfinite(vals)):
         raise ValueError("ratings must be finite")
-    order = np.argsort(-vals, kind="stable").tolist()
-    eu = g.edge_u.tolist()
-    ev = g.edge_v.tolist()
+    # The endpoints are gathered in rating order, so the loop reads its
+    # lists sequentially: indexing them in random rating order misses the
+    # cache more as n grows, which makes the loop's time superlinear.
+    order = np.argsort(-vals, kind="stable")
     c = g.vertex_c.tolist()
     mate = [-1] * g.n
-    for e in order:
-        u, v = eu[e], ev[e]
+    for u, v in zip(g.edge_u[order].tolist(), g.edge_v[order].tolist()):
         if mate[u] < 0 and mate[v] < 0 and c[u] + c[v] <= max_vertex_weight:
             mate[u] = v
             mate[v] = u

@@ -70,6 +70,23 @@ def test_partition_out_multiple_combos(tmp_path):
     assert (tmp_path / "best.part.g.exp2").exists()
 
 
+def test_partition_out_names_files_by_grid_size(tmp_path):
+    # The heavy cell fails, so only one cell succeeds; its file is still
+    # named as a two-graph grid names it.
+    heavy = tmp_path / "heavy.graph"
+    heavy.write_text("3 2 10\n100 2\n1 1 3\n1 2\n")  # vertex 0 tops the cap
+    fine = write_graph(tmp_path, name="fine.graph", n=60)
+    part = tmp_path / "best.part"
+    rc = main(["--graph", str(heavy), "--graph", fine, "--runs", "1",
+               "--trees", "5", "--coarsest-size", "25",
+               "--partition-out", str(part)])
+    assert rc == 1
+    assert len((tmp_path / "best.part.fine.excond5").read_text()
+               .splitlines()) == 60
+    assert not part.exists()
+    assert not (tmp_path / "best.part.heavy.excond5").exists()
+
+
 def test_negative_seed_runs(tmp_path, capsys):
     # Seeds go to random.Random, which takes any int; a generator that
     # rejects negative seeds fails here.

@@ -12,9 +12,10 @@ from treepart import (RATINGS, Graph, Partition, PartitionConfig,
                       partition_multilevel)
 from treepart import multilevel
 from tests.conftest import (MALFORMED_PARTITIONS, block_weights, chorded_c6,
-                            edge_id, neighbors, random_balanced_blocks,
-                            random_connected_graph, traced_peak)
-from tests.test_spantree import strip
+                            edge_id, interleaved_best, neighbors,
+                            random_balanced_blocks, random_connected_graph,
+                            traced_peak)
+from tests.test_spantree import family_graph, strip
 
 
 def max_weight_matching_value(g, rating):
@@ -146,6 +147,40 @@ class TestContract:
                     expect.append(expect[mate[v]])
             _, cmap = contract(g, np.array(mate))
             assert cmap.tolist() == expect
+
+
+def rated_family_pair(name):
+    """The family's graphs at n = 5e4 and 1e5, each with seeded random
+    ratings and the greedy matching they give."""
+    rng = random.Random(name)
+    out = []
+    for n in (5 * 10 ** 4, 10 ** 5):
+        g = family_graph(name, n, rng)
+        rating = np.random.default_rng(n).random(g.m)
+        out.append((g, rating, greedy_matching(g, rating, np.inf)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["path", "star", "caterpillar"])
+def test_greedy_matching_scales_linearly(name):
+    # One sort of the ratings and one pass over the edges, so doubling n
+    # should about double the time (2.1 for n log n); quadratic work would
+    # read 4. The two sizes are timed interleaved, so a shift in machine
+    # speed reaches both.
+    pair = rated_family_pair(name)
+    best = interleaved_best([lambda g=g, r=r: greedy_matching(g, r, np.inf)
+                             for g, r, _ in pair], 9)
+    assert best[1] / best[0] <= 3.0, best
+
+
+@pytest.mark.parametrize("name", ["path", "star", "caterpillar"])
+def test_contract_scales_linearly(name):
+    # Contraction relabels the edges and merges parallel ones with one sort
+    # of the coarse edge keys: 2.1 for n log n, 4 for quadratic work.
+    pair = rated_family_pair(name)
+    best = interleaved_best([lambda g=g, m=m: contract(g, m)
+                             for g, _, m in pair], 9)
+    assert best[1] / best[0] <= 3.0, best
 
 
 class TestInitialBipartition:
